@@ -24,9 +24,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
-#include <map>
 
 #include "bench_util.h"
 #include "core/batch_simulator.h"
@@ -122,59 +120,32 @@ void BM_SparseCountingCollapsed(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseCountingCollapsed);
 
-// Intra-run scaling of the sharded collapsed engine: the dense epidemic
-// transient again (the workload where super-steps dominate), at fixed n and
-// varying RunOptions::threads.  threads = 1 is the serial engine and
-// anchors the per-n baseline rate; parallel_efficiency = speedup / threads,
-// so 1.0 is perfect linear scaling and 1/threads is "no faster than
-// serial".  Shard work per super-step is ~0.63 sqrt(n) pair applications,
-// so efficiency should rise with n (more work per fork-merge barrier) and
-// it is only meaningful when the host has at least `threads` cores —
-// EXPERIMENTS.md records which host recorded the committed numbers.
-//
-// Execution order matters: google-benchmark runs the ArgsProduct rows in
-// an order that puts every threads = 1 row before any parallel row (and
-// repetitions of a row are consecutive), so the serial anchor for each n is
-// always recorded before its parallel rows read it.
+// Scaling of the collapsed engine with n: the dense epidemic transient
+// again (the workload where super-steps dominate), one n-interaction
+// budget per iteration.  Super-steps carry ~0.63 sqrt(n) pairs, so the
+// interaction rate rises with n.  These are the K = 1 rows of DESIGN.md
+// "Single runs are serial".
 void BM_CollapsedScaling(benchmark::State& state) {
     const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-    const unsigned threads = static_cast<unsigned>(state.range(1));
     const auto protocol = make_epidemic_protocol();
     const auto initial = CountConfiguration::from_input_counts(*protocol, {n / 2, n - n / 2});
     std::uint64_t seed = 1;
     std::uint64_t interactions = 0;
-    const auto start = std::chrono::steady_clock::now();
     for (auto _ : state) {
         RunOptions options;
         options.max_interactions = n;  // stay inside the dense transient
         options.seed = ++seed;
-        options.threads = threads;
         const RunResult result = simulate_collapsed(*protocol, initial, options);
         interactions += result.interactions;
         benchmark::DoNotOptimize(result.interactions);
     }
-    const double elapsed = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start).count();
-    const double rate = elapsed > 0.0 ? static_cast<double>(interactions) / elapsed : 0.0;
-
-    // Serial anchor per population size (single-threaded registration-order
-    // execution makes the static safe; repetitions keep the max so the
-    // anchor is the serial engine's best showing).
-    static std::map<std::uint64_t, double> serial_rate;
-    if (threads == 1) {
-        const auto it = serial_rate.find(n);
-        if (it == serial_rate.end() || rate > it->second) serial_rate[n] = rate;
-    }
     state.counters["interactions/s"] = benchmark::Counter(
         static_cast<double>(interactions), benchmark::Counter::kIsRate);
-    const auto anchor = serial_rate.find(n);
-    if (anchor != serial_rate.end() && anchor->second > 0.0) {
-        state.counters["parallel_efficiency"] =
-            rate / (anchor->second * static_cast<double>(threads));
-    }
 }
 BENCHMARK(BM_CollapsedScaling)
-    ->ArgsProduct({{1 << 20, 1 << 24, 1 << 28}, {1, 2, 4, 8}})
+    ->Arg(1 << 20)
+    ->Arg(1 << 24)
+    ->Arg(1 << 28)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -17,7 +17,6 @@
 //       --phase-length N   dynamic_graph interactions per phase (0 = 4n)
 //       --torus WxH        grid_mobility torus dimensions (default auto)
 //       --radius R         grid_mobility contact radius   (default 1)
-//       --threads K        intra-run threads (collapsed engine)
 //       --seed S           RNG seed                      (default 1)
 //       --budget B         interaction budget (0 = default_budget(n))
 //       --quantum N        work-quantum override
@@ -200,9 +199,6 @@ int main(int argc, char** argv) {
                 } else if (arg == "--radius") {
                     request += ",\"radius\":" +
                                std::to_string(parse_u64("--radius", next_value(arg)));
-                } else if (arg == "--threads") {
-                    request += ",\"threads\":" +
-                               std::to_string(parse_u64("--threads", next_value(arg)));
                 } else if (arg == "--seed") {
                     request +=
                         ",\"seed\":" + std::to_string(parse_u64("--seed", next_value(arg)));

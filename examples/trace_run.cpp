@@ -39,9 +39,6 @@
 //   --fluid-assist  adaptive runs only: fast-forward the dense transient
 //                with the mean-field ODE (approximate — the run is no
 //                longer an exact sample path)
-//   --threads K  intra-run worker threads (collapsed engine only; 0 = all
-//                hardware threads, default 1).  Fixed (seed, K) runs are
-//                bit-identical; different K agree in distribution only.
 //   --graph G    complete | ring | line | star        (default ring;
 //                only with --engine graph)
 //   --model M    run a scenario pairing model instead of an engine:
@@ -67,7 +64,8 @@
 //   --profile BASE  collect runtime telemetry (telemetry/telemetry.h) and
 //                write BASE.trace.json (Chrome trace-event format, loads in
 //                chrome://tracing and Perfetto) plus BASE.prom (Prometheus
-//                text exposition: per-phase timings, per-shard busy/wait);
+//                text exposition: per-phase timings, super-step and skip
+//                accounting);
 //                also emits a "telemetry" JSONL event before "stop"
 //   --progress   stderr progress line (interactions/s, estimated n·ln n
 //                completion fraction, ETA), at most one per second
@@ -131,7 +129,7 @@ using namespace popproto;
                  "                 [--engine batch|collapsed|agent|weighted|graph|adaptive]\n"
                  "                 [--adaptive] [--switch-thresholds ENTER,EXIT[,DWELL[,PERIOD]]]\n"
                  "                 [--fluid-assist]\n"
-                 "                 [--threads K] [--graph complete|ring|line|star]\n"
+                 "                 [--graph complete|ring|line|star]\n"
                  "                 [--model round_robin|sweep|adversarial|dynamic_graph|"
                  "grid_mobility]\n"
                  "                 [--probe N] [--phases A,B,...] [--phase-length N]\n"
@@ -282,8 +280,6 @@ int main(int argc, char** argv) {
     AdaptiveOptions adaptive_tuning;   // --switch-thresholds
     bool adaptive_tuning_given = false;
     bool fluid_assist = false;
-    std::uint64_t threads = 1;      // --threads; 0 = hardware concurrency
-    bool threads_given = false;
     std::string graph_name = "ring";
     ScenarioSpec scenario;              // --model et al.; scenario.model empty = engines
     std::string checkpoint_path;
@@ -347,9 +343,6 @@ int main(int argc, char** argv) {
             adaptive_tuning_given = true;
         } else if (std::strcmp(arg, "--fluid-assist") == 0) {
             fluid_assist = true;
-        } else if (std::strcmp(arg, "--threads") == 0) {
-            threads = parse_u64(arg, next());
-            threads_given = true;
         } else if (std::strcmp(arg, "--graph") == 0) {
             graph_name = next();
         } else if (std::strcmp(arg, "--model") == 0) {
@@ -465,7 +458,6 @@ int main(int argc, char** argv) {
             case ObservedEngine::kAgentArray: file_engine = "agent"; break;
             case ObservedEngine::kCountBatch: file_engine = "batch"; break;
             case ObservedEngine::kCollapsed: file_engine = "collapsed"; break;
-            case ObservedEngine::kParallelCollapsed: file_engine = "collapsed"; break;
             case ObservedEngine::kWeighted: file_engine = "weighted"; break;
             case ObservedEngine::kGraph: file_engine = "graph"; break;
             case ObservedEngine::kPairModel:
@@ -477,20 +469,6 @@ int main(int argc, char** argv) {
             case ObservedEngine::kScheduler:
                 usage_error("--resume: this checkpoint came from simulate_with_scheduler; "
                             "resume it through that API");
-        }
-        // A parallel-collapsed checkpoint fixes the shard count; infer
-        // --threads from the file (and reject a conflicting explicit value
-        // here, where the message can name both numbers).
-        const std::uint64_t file_threads = resume_checkpoint.shard_rngs.size();
-        if (resume_checkpoint.engine == ObservedEngine::kParallelCollapsed) {
-            if (threads_given && threads != file_threads)
-                usage_error("--resume: " + resume_path + " was taken with " +
-                            std::to_string(file_threads) + " threads, but --threads requests " +
-                            std::to_string(threads));
-            threads = file_threads;
-        } else if (threads_given && threads > 1) {
-            usage_error("--resume: " + resume_path +
-                        " was taken by a serial engine; drop --threads to resume it");
         }
         if (!file_model.empty()) {
             if (!engine_name.empty())
@@ -515,8 +493,6 @@ int main(int argc, char** argv) {
         usage_error("--model conflicts with --engine (scenarios pick their own pairing)");
     if (engine_name.empty() && scenario.model.empty()) engine_name = "batch";
 
-    if (threads > 1 && engine_name != "collapsed")
-        usage_error("--threads: only --engine collapsed runs with more than one thread");
     if ((adaptive_tuning_given || fluid_assist) && engine_name != "adaptive")
         usage_error("--switch-thresholds/--fluid-assist: require --engine adaptive "
                     "(or --adaptive)");
@@ -524,7 +500,6 @@ int main(int argc, char** argv) {
     RunOptions options;
     options.max_interactions = budget != 0 ? budget : default_budget(n);
     options.seed = seed;
-    options.threads = static_cast<unsigned>(threads);
     options.snapshots = log_factor != 0.0
                             ? SnapshotSchedule::log_spaced(log_factor)
                             : SnapshotSchedule::every(every != 0 ? every : std::max<std::uint64_t>(

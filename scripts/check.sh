@@ -6,10 +6,11 @@
 # full suite): run it before merging engine or observer changes.
 #
 # --tsan switches to the data-race gate: a ThreadSanitizer build running the
-# tests that exercise the intra-run parallel machinery (the thread pool, the
-# sharded collapsed engine, and the trial fan-out).  TSan and ASan cannot
-# share a process, hence the separate mode and build directory; the filter
-# keeps the ~10x TSan slowdown off the purely sequential 95% of the suite.
+# tests that start threads (the service registry's quantum workers, the wire
+# server's acceptor, per-connection threads and subscription fan-out, and
+# the trial fan-out).  Single runs are serial.  TSan and ASan cannot share a
+# process, hence the separate mode and build directory; the filter keeps
+# the ~10x TSan slowdown off the purely sequential rest of the suite.
 #
 # Usage: scripts/check.sh [--tsan] [build-dir] [ctest args...]
 #   build-dir  defaults to <repo>/build-check (or <repo>/build-check-tsan in
@@ -27,9 +28,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
     shift
     SANITIZERS="thread"
     DEFAULT_BUILD_DIR="$ROOT/build-check-tsan"
-    # The concurrency surface: ThreadPool / parallel collapsed engine /
+    # The concurrency surface: registry workers, wire server threads, and
     # multi-threaded trial fan-out tests.
-    CTEST_FILTER=(-R 'ThreadPool|ParallelCollapsed|ThreadOptions|Trials')
+    CTEST_FILTER=(-R 'RunRegistryTest|WireServerTest|Trials')
     LABEL="tsan"
 fi
 

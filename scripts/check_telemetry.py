@@ -4,23 +4,24 @@
 Usage: scripts/check_telemetry.py <base>.trace.json <base>.prom [<run>.jsonl]
 
 Holds the Chrome trace-event JSON and the Prometheus text exposition to the
-schema documented in DESIGN.md "Telemetry" — the CI smoke stage
-(scripts/ci.sh) runs a short collapsed threads=4 profile and feeds both
+schema documented in DESIGN.md "Export schemas" — the CI smoke stage
+(scripts/ci.sh) runs a short serial collapsed profile and feeds both
 files through here, so an exporter regression fails the gate instead of
 producing a file Perfetto silently refuses to load.
 
 Checks (exit 1 with a message on the first violation):
 
   Chrome trace: parses as JSON; has displayTimeUnit, otherData with
-  schema_version/engine/population, and a non-empty traceEvents array;
+  schema_version (== SCHEMA_VERSION)/engine/population, and a non-empty
+  traceEvents array;
   every event is a complete ("X", with ts/dur/name/tid) or metadata ("M")
   event; per tid, complete events nest properly (no half-overlaps — that
   is what makes the flame graph render as a stack).
 
   Prometheus: every line is a comment or `name{labels} value` with a
   finite float value; every # TYPE names a popproto_* family that then
-  appears; the families the ISSUE promises (run info, per-phase seconds,
-  per-shard busy/wait) are present.
+  appears; the run-info and per-phase families are present, plus the
+  super-step families a collapsed profile emits.
 
   JSONL (optional third argument; the trace_run stdout of an *adaptive*
   run): every engine_switch event is well-formed (monotone t, switch_index
@@ -36,6 +37,9 @@ import json
 import math
 import re
 import sys
+
+# RunTelemetry::kSchemaVersion (src/telemetry/telemetry.h).
+SCHEMA_VERSION = 2
 
 
 def fail(message: str) -> None:
@@ -53,9 +57,12 @@ def check_trace(path: str) -> None:
     for key in ("displayTimeUnit", "otherData", "traceEvents"):
         if key not in trace:
             fail(f"{path}: missing top-level key {key!r}")
-    for key in ("schema_version", "engine", "population", "threads"):
+    for key in ("schema_version", "engine", "population"):
         if key not in trace["otherData"]:
             fail(f"{path}: otherData missing {key!r}")
+    if trace["otherData"]["schema_version"] != SCHEMA_VERSION:
+        fail(f"{path}: schema_version {trace['otherData']['schema_version']}, "
+             f"expected {SCHEMA_VERSION}")
 
     events = trace["traceEvents"]
     if not events:
@@ -114,12 +121,12 @@ REQUIRED_FAMILIES = (
     "popproto_phase_calls_total",
 )
 
-# Only the sharded (threads > 1) collapsed profile emits these; the
-# adaptive dispatcher is serial, so its profile legitimately lacks them.
-SHARDED_FAMILIES = (
-    "popproto_shard_busy_seconds_total",
-    "popproto_shard_wait_seconds_total",
-    "popproto_pool_rounds_total",
+# Every run of the collapsed engine emits these (the adaptive profile's
+# families are checked instead when the JSONL argument is given).
+SUPER_STEP_FAMILIES = (
+    "popproto_super_steps_total",
+    "popproto_super_step_pairs_total",
+    "popproto_super_step_pairs_log2",
 )
 
 
@@ -163,7 +170,7 @@ def check_prometheus(path: str, adaptive: bool = False) -> None:
         seen.add(match.group("name"))
 
     required = REQUIRED_FAMILIES + (ADAPTIVE_FAMILIES if adaptive
-                                    else SHARDED_FAMILIES)
+                                    else SUPER_STEP_FAMILIES)
     for family in required:
         # Histogram samples append _bucket/_sum/_count to the family name.
         if not any(name == family or name.startswith(family + "_") for name in seen):

@@ -12,7 +12,7 @@
 #                                                 JSON goes to the build
 #                                                 tree, recorded BENCH_*.json
 #                                                 at the root are untouched)
-#   4. trace_run --profile smoke                 (a short collapsed threads=4
+#   4. trace_run --profile smoke                 (a short serial collapsed
 #                                                 profile plus an adaptive
 #                                                 profile with its JSONL
 #                                                 switch events; all
@@ -32,7 +32,9 @@
 #                                                 committed release baselines)
 #   7. scripts/check.sh                          (asan+ubsan build + ctest)
 #   8. scripts/check.sh --tsan                   (ThreadSanitizer build over
-#                                                 the parallel-engine tests)
+#                                                 the tests that run threads:
+#                                                 registry workers, wire
+#                                                 server, trial fan-out)
 #
 # Usage: scripts/ci.sh [build-dir]
 #   build-dir  defaults to <repo>/build; the sanitizer stages always use
@@ -106,16 +108,14 @@ echo "ci.sh: [3/8] benchmark smoke pass"
 "$ROOT/bench/run_benches.sh" --smoke "$BUILD_DIR"
 
 echo "ci.sh: [4/8] telemetry profile smoke"
-# A collapsed threads=4 profile exercises every probe family — phase
-# timers, shard busy/wait, super-step accounting — and the checker holds
-# both exporter artifacts to the DESIGN.md schema.  n = 2^20 so super-steps
-# (~0.63 sqrt(n) = 645 pairs) clear the pooled-dispatch threshold
-# (kMinPairsPerWorker * 4 = 256) and the shard lanes actually populate;
-# the run still finishes in well under a second.  Artifacts land next to
-# the bench smoke JSON, never at the repository root.
+# A serial collapsed profile at n = 2^20 exercises the phase timers, the
+# nested super-step sub-phases and the super-step accounting, and the
+# checker holds both exporter artifacts to the DESIGN.md schema; the run
+# finishes in well under a second.  Artifacts land next to the bench smoke
+# JSON, never at the repository root.
 PROFILE_DIR="$BUILD_DIR/bench/smoke"
 mkdir -p "$PROFILE_DIR"
-"$BUILD_DIR/examples/trace_run" epidemic --n 1048576 --engine collapsed --threads 4 \
+"$BUILD_DIR/examples/trace_run" epidemic --n 1048576 --engine collapsed \
     --no-counts --profile "$PROFILE_DIR/telemetry_smoke" > /dev/null
 python3 "$ROOT/scripts/check_telemetry.py" \
     "$PROFILE_DIR/telemetry_smoke.trace.json" "$PROFILE_DIR/telemetry_smoke.prom"

@@ -44,12 +44,6 @@ MAX_DRIFT = 0.50
 # own best sample.
 RETRIES = 2
 
-# Recorded for the scaling tables but not regression-judged: the parallel
-# rows' wall time is dominated by how many cores the host can actually give
-# the shards (oversubscribed rows are pure scheduler noise), and the code
-# path behind them is already gated through BM_EpidemicDenseCollapsed.
-GATE_EXEMPT_PREFIXES = ("BM_CollapsedScaling/",)
-
 # Suites gated on a subset of their rows.  bench_observe exists to price
 # observers, and its pricing rows run small-n workloads to *silence*, where
 # per-seed convergence variance swings single rows 1.5x between identical
@@ -120,8 +114,7 @@ def main():
             sys.exit(1)
 
     def is_exempt(name):
-        return name.startswith(GATE_EXEMPT_PREFIXES) or (
-            gate_only is not None and not any(sub in name for sub in gate_only))
+        return gate_only is not None and not any(sub in name for sub in gate_only)
 
     def evaluate(fresh):
         """Ratios, slowdown-normalized drift, and the gated rows over the bar."""

@@ -90,9 +90,6 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
     require(n >= 2, "simulate_adaptive: need at least two agents");
     require(n < (std::uint64_t{1} << 32), "simulate_adaptive: population must fit 32 bits");
     require_engine_field(options, SimulationEngine::kAdaptive, "simulate_adaptive");
-    require(options.threads <= 1,
-            "simulate_adaptive: the adaptive dispatcher is serial; threads > 1 pins the "
-            "collapsed engine (run_simulation)");
     require(!options.fluid_assist || options.fluid_hook,
             "simulate_adaptive: fluid_assist requires a fluid_hook "
             "(make_fluid_assist_hook in meanfield/fluid_assist.h)");
@@ -168,7 +165,7 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
     telemetry::RunTelemetryCollector* const collector =
         telemetry::kCompiledIn ? options.telemetry : nullptr;
     if (collector)
-        collector->begin_adaptive_run(n, 1, cursor.has_value() ? cursor->interactions : 0);
+        collector->begin_adaptive_run(n, cursor.has_value() ? cursor->interactions : 0);
 
     SwitchCaptureSink sink(*monitor, options.checkpoint_sink);
     std::optional<SegmentObserver> segment_observer;
@@ -182,7 +179,6 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
         segment.engine = current == ObservedEngine::kCollapsed
                              ? SimulationEngine::kCollapsedBatch
                              : SimulationEngine::kCountBatch;
-        segment.threads = 1;
         segment.resume_from = cursor.has_value() ? &*cursor : nullptr;
         segment.checkpoint_sink = &sink;
         segment.switch_monitor = &*monitor;

@@ -41,10 +41,6 @@
 // then simulate.  Explicitly opt-in because it trades exactness for speed:
 // a fluid-assisted run is *not* bit-identical to (or even a sample path of)
 // the unassisted law.
-//
-// Serial only: the sharded collapsed engine draws from K split RNG streams
-// that the count-batch engine cannot continue, so threads > 1 keeps pinning
-// the (parallel) collapsed engine in run_simulation instead.
 
 #ifndef POPPROTO_CORE_ADAPTIVE_SIMULATOR_H
 #define POPPROTO_CORE_ADAPTIVE_SIMULATOR_H
@@ -60,7 +56,7 @@ namespace popproto {
 /// holds the thresholds.  RunResult::engine reports kAdaptive; emitted
 /// checkpoints carry the concrete segment engine plus the monitor's
 /// `adaptive` section and resume here under kAuto/kAdaptive (or under the
-/// segment engine, which pins it statically).  Requires threads <= 1.
+/// segment engine, which pins it statically).
 RunResult simulate_adaptive(const TabulatedProtocol& protocol,
                             const CountConfiguration& initial, const RunOptions& options);
 

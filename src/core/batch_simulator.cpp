@@ -151,11 +151,6 @@ RunResult run_simulation(const TabulatedProtocol& protocol, const CountConfigura
         case SimulationEngine::kAuto:
             break;
     }
-    // A request for intra-run parallelism pins the collapsed engine: it is
-    // the only one that honours threads > 1, and letting the size-based
-    // choice route the request to a sequential engine would just trip the
-    // kernel's never-ignore check.
-    if (options.threads > 1) return simulate_collapsed(protocol, initial, options);
     // A checkpoint that carries an adaptive monitor section was written by
     // the adaptive dispatcher; kAuto resumes it there so the run keeps its
     // switching behaviour instead of silently pinning the segment engine.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "core/effect_tables.h"
@@ -11,30 +10,43 @@
 #include "core/rng.h"
 #include "core/run_loop.h"
 #include "core/simd.h"
-#include "core/thread_pool.h"
 #include "telemetry/telemetry.h"
 
 namespace popproto {
 
 namespace {
 
-/// Machinery shared by the serial and the sharded collapsed steppers: the
-/// birthday-law survival table, the multivariate-hypergeometric cascades,
-/// the row-matching cascade, the colliding-interaction fixup, and the W
-/// recompute.  Both steppers compose exactly these pieces, so the sharded
-/// engine cannot drift from the serial law by re-implementing a sampler.
-class CollapsedEngineBase {
+/// The collapsed super-step sampler (collapsed_simulator.h): collision-free
+/// runs of ~sqrt(n) ordered pairs are assigned to state pairs by exact
+/// hypergeometric count splits and applied as one aggregate delta; the
+/// single colliding interaction terminating each run is resolved
+/// individually.
+class CollapsedStepper {
 public:
+    static constexpr ObservedEngine kEngine = ObservedEngine::kCollapsed;
+    static constexpr SilenceMode kSilenceMode = SilenceMode::kExact;
+    static constexpr bool kGeometricSkips = false;
+    static constexpr bool kSuperSteps = true;
+
+    CollapsedStepper(const TabulatedProtocol& protocol, const CountConfiguration& initial)
+        : protocol_(protocol),
+          eff_(protocol),
+          counts_(initial.counts()),
+          population_(initial.population_size()) {
+        build_survival_table();
+        recompute_effective_pairs();
+    }
+
     std::uint64_t population() const { return population_; }
 
     bool is_silent() const { return effective_pairs_ == 0; }
 
     /// Exact W for the adaptive dispatcher's density monitor (run_loop.h);
-    /// maintained by the per-super-step recompute either way.
+    /// maintained by the per-super-step recompute.
     std::uint64_t effective_pairs() const { return effective_pairs_; }
 
     /// Attaches the run's telemetry collector (nullptr = disabled); the
-    /// steppers time the super-step sub-phases against it.  Probes never
+    /// stepper times the super-step sub-phases against it.  Probes never
     /// touch the RNG stream, so results are bit-identical either way.
     void set_telemetry(telemetry::RunTelemetryCollector* collector) {
         collector_ = telemetry::kCompiledIn ? collector : nullptr;
@@ -56,31 +68,74 @@ public:
 
     CountConfiguration counts() const { return CountConfiguration::from_state_counts(counts_); }
 
-protected:
-    CollapsedEngineBase(const TabulatedProtocol& protocol, const CountConfiguration& initial)
-        : protocol_(protocol),
-          eff_(protocol),
-          counts_(initial.counts()),
-          population_(initial.population_size()) {
-        build_survival_table();
+    /// Executes `m` collision-free pairs (2m distinct agents) as one
+    /// aggregate count update, then the single colliding interaction when
+    /// `with_collision` (the kernel clamps boundary-crossing runs instead).
+    BatchOutcome apply_super_step(Rng& rng, std::uint64_t m, bool with_collision) {
+        const std::size_t num_states = eff_.num_states;
+        BatchOutcome outcome;
+
+        {
+            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kPairCascade);
+            // Initiator multiset A: m draws without replacement from the
+            // count vector (multivariate hypergeometric, as a cascade of
+            // exact univariate splits); responder multiset B: m more draws
+            // from the remainder.  By exchangeability of the 2m
+            // uniformly-chosen agent slots this matches drawing the pairs
+            // one by one.
+            draw_without_replacement(rng, nullptr, m, initiators_);
+            draw_without_replacement(rng, &initiators_, m, responders_);
+
+            touched_.assign(num_states, 0);
+            remainder_ = responders_;
+            match_rows(rng, m, outcome);
+        }
+
+        {
+            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
+            // New counts: the untouched agents keep their states; the 2m
+            // touched agents land on the post-transition multiset.
+            simd::add_sub_sub(counts_.data(), touched_.data(), initiators_.data(),
+                              responders_.data(), num_states);
+        }
+
+        if (with_collision) {
+            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kCollisionFixup);
+            resolve_collision(rng, m, outcome);
+        }
+
+        {
+            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kWRecompute);
+            recompute_effective_pairs();
+        }
+        return outcome;
+    }
+
+    void save(RunCheckpoint& checkpoint) const { checkpoint.counts = counts_; }
+
+    void restore(const RunCheckpoint& checkpoint) {
+        require(checkpoint.counts.size() == counts_.size(),
+                "simulate_collapsed: checkpoint state-count mismatch");
+        std::uint64_t total = 0;
+        for (const std::uint64_t count : checkpoint.counts) total += count;
+        require(total == population_, "simulate_collapsed: checkpoint population mismatch");
+        counts_ = checkpoint.counts;
         recompute_effective_pairs();
     }
 
+private:
     /// Multivariate hypergeometric cascade: `out[s]` ~ number of state-s
-    /// items among `draws` draws without replacement from the population
-    /// with per-state counts `base[s] - excluded[s]` (pass nullptr to
-    /// exclude nothing).  `total_items` is the population size of that
-    /// residual multiset; passing it explicitly lets the sharded stepper
-    /// cascade over sub-multisets (a shard's pool) with the same code.
-    static void draw_without_replacement(Rng& rng, const std::vector<std::uint64_t>& base,
-                                         const std::vector<std::uint64_t>* excluded,
-                                         std::uint64_t total_items, std::uint64_t draws,
-                                         std::vector<std::uint64_t>& out) {
-        out.assign(base.size(), 0);
-        std::uint64_t remaining_items = total_items;
+    /// items among `draws` draws without replacement from counts_, minus
+    /// the earlier draw `excluded` when given (the responders are drawn from
+    /// what the initiators left; both draws hold `draws` items).
+    void draw_without_replacement(Rng& rng, const std::vector<std::uint64_t>* excluded,
+                                  std::uint64_t draws, std::vector<std::uint64_t>& out) const {
+        out.assign(counts_.size(), 0);
+        std::uint64_t remaining_items = population_ - (excluded == nullptr ? 0 : draws);
         std::uint64_t remaining_draws = draws;
-        for (State s = 0; s < base.size() && remaining_draws > 0; ++s) {
-            const std::uint64_t available = base[s] - (excluded == nullptr ? 0 : (*excluded)[s]);
+        for (State s = 0; s < counts_.size() && remaining_draws > 0; ++s) {
+            const std::uint64_t available =
+                counts_[s] - (excluded == nullptr ? 0 : (*excluded)[s]);
             if (available == 0) continue;
             const std::uint64_t k =
                 rng.hypergeometric(available, remaining_items - available, remaining_draws);
@@ -90,34 +145,32 @@ protected:
         }
     }
 
-    /// Row-matching cascade: conditioned on the initiator multiset A and the
-    /// responder multiset (passed as `remainder`, consumed in place), the
-    /// bipartite initiator-responder matching is uniform, so row p of the
-    /// pair-count matrix is a hypergeometric split of A[p] draws over the
+    /// Row-matching cascade: conditioned on the initiator multiset and the
+    /// responder multiset (remainder_, consumed in place), the bipartite
+    /// initiator-responder matching is uniform, so row p of the pair-count
+    /// matrix is a hypergeometric split of initiators_[p] draws over the
     /// not-yet-matched responders.  Rows are applied on the fly into
-    /// `touched` / `outcome`.
-    void match_rows(Rng& rng, const std::vector<std::uint64_t>& initiators,
-                    std::vector<std::uint64_t>& remainder, std::uint64_t m,
-                    std::vector<std::uint64_t>& touched, BatchOutcome& outcome) const {
+    /// touched_ / `outcome`.
+    void match_rows(Rng& rng, std::uint64_t m, BatchOutcome& outcome) {
         const std::size_t num_states = eff_.num_states;
         std::uint64_t unmatched = m;
         for (State p = 0; p < num_states; ++p) {
-            std::uint64_t left = initiators[p];
+            std::uint64_t left = initiators_[p];
             if (left == 0) continue;
             // Row cascade: `pool` counts the unmatched responders in states
             // not yet classified for this row, so each split is an exact
             // univariate hypergeometric of the row's remaining draws.
             std::uint64_t pool = unmatched;
             for (State q = 0; q < num_states && left > 0; ++q) {
-                const std::uint64_t available = remainder[q];
+                const std::uint64_t available = remainder_[q];
                 if (available == 0) continue;
                 const std::uint64_t k = rng.hypergeometric(available, pool - available, left);
                 pool -= available;
                 if (k != 0) {
-                    remainder[q] -= k;
+                    remainder_[q] -= k;
                     unmatched -= k;
                     left -= k;
-                    apply_pair_type(p, q, k, touched, outcome);
+                    apply_pair_type(p, q, k, outcome);
                 }
             }
             ensure(left == 0, "simulate_collapsed: internal matching invariant violated");
@@ -125,13 +178,12 @@ protected:
     }
 
     /// Books `k` executed interactions of ordered pair type (p, q):
-    /// accumulates the post-transition states into `touched` and the
+    /// accumulates the post-transition states into touched_ and the
     /// effective / output-change aggregates into `outcome`.
-    void apply_pair_type(State p, State q, std::uint64_t k, std::vector<std::uint64_t>& touched,
-                         BatchOutcome& outcome) const {
+    void apply_pair_type(State p, State q, std::uint64_t k, BatchOutcome& outcome) {
         const StatePair next = protocol_.apply_fast(p, q);
-        touched[next.initiator] += k;
-        touched[next.responder] += k;
+        touched_[next.initiator] += k;
+        touched_[next.responder] += k;
         if (!eff_.effective(p, q)) return;
         outcome.effective += k;
         const Symbol out_p = protocol_.output_fast(p);
@@ -146,8 +198,8 @@ protected:
     /// the n(n-1) - (n-2m)(n-2m-1) ordered pairs touching at least one of
     /// the 2m used agents, whose post-batch states are the touched_
     /// multiset; the untouched remainder is counts_ - touched_.  Requires
-    /// counts_ already updated for the batch and touched_ holding the full
-    /// (merged) post-transition multiset of the 2m touched agents.
+    /// counts_ already updated for the batch and touched_ holding the
+    /// post-transition multiset of the 2m touched agents.
     void resolve_collision(Rng& rng, std::uint64_t m, BatchOutcome& outcome) {
         const std::size_t num_states = eff_.num_states;
         untouched_.resize(num_states);
@@ -220,32 +272,6 @@ protected:
         effective_pairs_ = w;
     }
 
-    /// Checkpoint payload shared by both steppers: the count vector (the
-    /// sharded stepper additionally carries its shard streams).
-    void save_counts(RunCheckpoint& checkpoint) const { checkpoint.counts = counts_; }
-
-    void restore_counts(const RunCheckpoint& checkpoint) {
-        require(checkpoint.counts.size() == counts_.size(),
-                "simulate_collapsed: checkpoint state-count mismatch");
-        std::uint64_t total = 0;
-        for (const std::uint64_t count : checkpoint.counts) total += count;
-        require(total == population_, "simulate_collapsed: checkpoint population mismatch");
-        counts_ = checkpoint.counts;
-        recompute_effective_pairs();
-    }
-
-    const TabulatedProtocol& protocol_;
-    EffectTables eff_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t population_;
-    std::uint64_t effective_pairs_ = 0;
-    telemetry::RunTelemetryCollector* collector_ = nullptr;
-
-    // Per-super-step scratch (members to avoid reallocation).
-    std::vector<std::uint64_t> touched_;
-    std::vector<std::uint64_t> untouched_;
-
-private:
     /// survival_[t-1] = P(first t pairs touch pairwise-disjoint agents)
     ///               = prod_{i<t} (n-2i)(n-2i-1) / (n(n-1)).
     /// Depends only on n; ~6.7 sqrt(n) entries before the 1e-25 cutoff.
@@ -265,266 +291,21 @@ private:
         }
     }
 
+    const TabulatedProtocol& protocol_;
+    EffectTables eff_;
+    std::vector<std::uint64_t> counts_;
+    std::uint64_t population_;
+    std::uint64_t effective_pairs_ = 0;
+    telemetry::RunTelemetryCollector* collector_ = nullptr;
     std::vector<double> survival_;
-};
 
-/// The serial collapsed super-step sampler (collapsed_simulator.h):
-/// collision-free runs of ~sqrt(n) ordered pairs are assigned to state
-/// pairs by exact hypergeometric count splits and applied as one aggregate
-/// delta; the single colliding interaction terminating each run is resolved
-/// individually.
-class CollapsedStepper : public CollapsedEngineBase {
-public:
-    static constexpr ObservedEngine kEngine = ObservedEngine::kCollapsed;
-    static constexpr SilenceMode kSilenceMode = SilenceMode::kExact;
-    static constexpr bool kGeometricSkips = false;
-    static constexpr bool kSuperSteps = true;
-
-    CollapsedStepper(const TabulatedProtocol& protocol, const CountConfiguration& initial)
-        : CollapsedEngineBase(protocol, initial) {}
-
-    /// Executes `m` collision-free pairs (2m distinct agents) as one
-    /// aggregate count update, then the single colliding interaction when
-    /// `with_collision` (the kernel clamps boundary-crossing runs instead).
-    BatchOutcome apply_super_step(Rng& rng, std::uint64_t m, bool with_collision) {
-        const std::size_t num_states = eff_.num_states;
-        BatchOutcome outcome;
-
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kPairCascade);
-            // Initiator multiset A: m draws without replacement from the
-            // count vector (multivariate hypergeometric, as a cascade of
-            // exact univariate splits); responder multiset B: m more draws
-            // from the remainder.  By exchangeability of the 2m
-            // uniformly-chosen agent slots this matches drawing the pairs
-            // one by one.
-            draw_without_replacement(rng, counts_, nullptr, population_, m, initiators_);
-            draw_without_replacement(rng, counts_, &initiators_, population_ - m, m,
-                                     responders_);
-
-            touched_.assign(num_states, 0);
-            remainder_ = responders_;
-            match_rows(rng, initiators_, remainder_, m, touched_, outcome);
-        }
-
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
-            // New counts: the untouched agents keep their states; the 2m
-            // touched agents land on the post-transition multiset.
-            simd::add_sub_sub(counts_.data(), touched_.data(), initiators_.data(),
-                              responders_.data(), num_states);
-        }
-
-        if (with_collision) {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kCollisionFixup);
-            resolve_collision(rng, m, outcome);
-        }
-
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kWRecompute);
-            recompute_effective_pairs();
-        }
-        return outcome;
-    }
-
-    void save(RunCheckpoint& checkpoint) const { save_counts(checkpoint); }
-
-    void restore(const RunCheckpoint& checkpoint) { restore_counts(checkpoint); }
-
-private:
+    // Per-super-step scratch (members to avoid reallocation).
     std::vector<std::uint64_t> initiators_;
     std::vector<std::uint64_t> responders_;
     std::vector<std::uint64_t> remainder_;
+    std::vector<std::uint64_t> touched_;
+    std::vector<std::uint64_t> untouched_;
 };
-
-/// The sharded collapsed stepper (RunOptions::threads = K >= 2): each
-/// super-step's m pairs are split across K shards and sampled concurrently.
-///
-/// Exchangeability argument: the serial batch is a uniform ordered sample
-/// of 2m distinct agents — m initiators, m responders, uniformly matched.
-/// Partitioning the m pair slots into K contiguous blocks of sizes m_k and
-/// drawing, on the *parent* stream, the pooled 2m_k agents of each block as
-/// a sequential multivariate-hypergeometric cascade over the residual
-/// counts yields the exact joint law of the per-shard pools (agents of a
-/// without-replacement sample are exchangeable).  Conditioned on its pool,
-/// shard k's initiator multiset is a uniform 2m_k-choose-m_k split and its
-/// matching is uniform — both sampled on shard k's private *child* stream
-/// with the same cascades the serial stepper uses.  The union of the
-/// shards' pair-type counts therefore has the serial distribution for
-/// every K.
-///
-/// Determinism contract: shard k always consumes shard stream k and writes
-/// shard scratch k, and the merge is a fixed-order reduction, so the result
-/// is bit-identical for a fixed (seed, K) across machines, pool schedules,
-/// and the inline small-batch path.  Different K consume different
-/// streams: agreement across thread counts is distributional.
-class ParallelCollapsedStepper : public CollapsedEngineBase {
-public:
-    static constexpr ObservedEngine kEngine = ObservedEngine::kParallelCollapsed;
-    static constexpr SilenceMode kSilenceMode = SilenceMode::kExact;
-    static constexpr bool kGeometricSkips = false;
-    static constexpr bool kSuperSteps = true;
-    static constexpr bool kParallel = true;
-
-    ParallelCollapsedStepper(const TabulatedProtocol& protocol,
-                             const CountConfiguration& initial, unsigned threads)
-        : CollapsedEngineBase(protocol, initial), shards_(threads), pool_(threads) {
-        require(threads >= 2, "simulate_collapsed: parallel stepper needs threads >= 2");
-    }
-
-    /// Same birthday-law proposal as the serial stepper, but the first call
-    /// also carves the K shard streams off the parent stream (K splits =
-    /// K disjoint 2^128-draw blocks; see Rng::split).  Splitting at a fixed
-    /// point of the parent stream keeps the whole run deterministic in
-    /// (seed, K), and doing it before any super-step work means every
-    /// checkpoint the kernel can take carries live shard streams.
-    std::uint64_t propose_super_step(Rng& rng) {
-        if (!shard_streams_ready_) {
-            for (Shard& shard : shards_) shard.rng = rng.split();
-            shard_streams_ready_ = true;
-        }
-        return CollapsedEngineBase::propose_super_step(rng);
-    }
-
-    /// Resolved shard count, reported into RunTelemetry::threads.
-    unsigned threads() const { return static_cast<unsigned>(shards_.size()); }
-
-    BatchOutcome apply_super_step(Rng& rng, std::uint64_t m, bool with_collision) {
-        const std::size_t num_states = eff_.num_states;
-        const std::size_t num_shards = shards_.size();
-        BatchOutcome outcome;
-
-        // Deferred until the first super-step: the collector's epoch is set
-        // by begin_run, which runs after set_telemetry.
-        if (collector_ != nullptr && !pool_telemetry_ready_) {
-            collector_->pool().configure(num_shards, collector_->epoch(),
-                                         collector_->max_spans());
-            pool_.set_telemetry(&collector_->pool());
-            pool_telemetry_ready_ = true;
-        }
-
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kShardCarve);
-            // Phase 1, parent stream: carve the 2m touched agents into
-            // per-shard pools by a sequential multivariate-hypergeometric
-            // cascade over the residual counts.  Shard sizes m_k = m/K
-            // rounded, sum m; shards with m_k = 0 draw nothing.
-            residual_ = counts_;
-            std::uint64_t remaining_items = population_;
-            for (std::size_t k = 0; k < num_shards; ++k) {
-                Shard& shard = shards_[k];
-                shard.m = m / num_shards + (k < m % num_shards ? 1 : 0);
-                draw_without_replacement(rng, residual_, nullptr, remaining_items, 2 * shard.m,
-                                         shard.pool);
-                for (State s = 0; s < num_states; ++s) residual_[s] -= shard.pool[s];
-                remaining_items -= 2 * shard.m;
-            }
-        }
-
-        // Phase 2, child streams, in parallel: each shard splits its pool
-        // into initiators and responders and runs the matching cascade on
-        // its own scratch.  Small batches skip the pool's wakeup round-trip
-        // and run inline — bit-identical, since the pool never influences
-        // what a shard computes, only where it runs.
-        const auto run_shard = [this, num_states](std::size_t k) {
-            Shard& shard = shards_[k];
-            shard.outcome = BatchOutcome{};
-            shard.touched.assign(num_states, 0);
-            if (shard.m == 0) return;
-            draw_without_replacement(shard.rng, shard.pool, nullptr, 2 * shard.m, shard.m,
-                                     shard.initiators);
-            shard.remainder.resize(num_states);
-            for (State s = 0; s < num_states; ++s)
-                shard.remainder[s] = shard.pool[s] - shard.initiators[s];
-            match_rows(shard.rng, shard.initiators, shard.remainder, shard.m, shard.touched,
-                       shard.outcome);
-        };
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kShardTasks);
-            if (m >= kMinPairsPerWorker * num_shards) {
-                pool_.run(num_shards, run_shard);
-            } else {
-                for (std::size_t k = 0; k < num_shards; ++k) run_shard(k);
-                if (collector_ != nullptr) collector_->record_inline_round();
-            }
-        }
-
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
-            // Phase 3, fixed-order merge: touched multiset, effective count,
-            // output flag.  New counts = residual (the agents no shard drew)
-            // plus the merged post-transition multiset.
-            touched_.assign(num_states, 0);
-            for (const Shard& shard : shards_) {
-                simd::add(touched_.data(), shard.touched.data(), num_states);
-                outcome.effective += shard.outcome.effective;
-                outcome.output_changed = outcome.output_changed || shard.outcome.output_changed;
-            }
-            counts_ = residual_;
-            simd::add(counts_.data(), touched_.data(), num_states);
-        }
-
-        // Phase 4, parent stream: the colliding interaction sees only the
-        // merged touched multiset, exactly as in the serial stepper.
-        if (with_collision) {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kCollisionFixup);
-            resolve_collision(rng, m, outcome);
-        }
-
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kWRecompute);
-            recompute_effective_pairs();
-        }
-        return outcome;
-    }
-
-    void save(RunCheckpoint& checkpoint) const {
-        save_counts(checkpoint);
-        ensure(shard_streams_ready_,
-               "simulate_collapsed: checkpoint requested before the first super-step");
-        checkpoint.shard_rngs.reserve(shards_.size());
-        for (const Shard& shard : shards_) checkpoint.shard_rngs.push_back(shard.rng.save_state());
-    }
-
-    void restore(const RunCheckpoint& checkpoint) {
-        restore_counts(checkpoint);
-        require(checkpoint.shard_rngs.size() == shards_.size(),
-                "simulate_collapsed: checkpoint was taken with " +
-                    std::to_string(checkpoint.shard_rngs.size()) +
-                    " shard streams; resume with RunOptions::threads equal to that count");
-        for (std::size_t k = 0; k < shards_.size(); ++k)
-            shards_[k].rng.restore_state(checkpoint.shard_rngs[k]);
-        shard_streams_ready_ = true;
-    }
-
-private:
-    /// Below this many pairs per worker the fork-merge wakeup costs more
-    /// than the shard work; the inline path keeps tiny populations fast.
-    static constexpr std::uint64_t kMinPairsPerWorker = 64;
-
-    struct Shard {
-        Rng rng{0};  // replaced by a split of the parent stream before use
-        std::uint64_t m = 0;
-        std::vector<std::uint64_t> pool;
-        std::vector<std::uint64_t> initiators;
-        std::vector<std::uint64_t> remainder;
-        std::vector<std::uint64_t> touched;
-        BatchOutcome outcome;
-    };
-
-    std::vector<Shard> shards_;
-    ThreadPool pool_;
-    bool shard_streams_ready_ = false;
-    bool pool_telemetry_ready_ = false;
-    std::vector<std::uint64_t> residual_;
-};
-
-/// RunOptions::threads with 0 resolved to the hardware concurrency.
-unsigned resolved_threads(const RunOptions& options) {
-    if (options.threads != 0) return options.threads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
-}
 
 }  // namespace
 
@@ -537,14 +318,7 @@ RunResult simulate_collapsed(const TabulatedProtocol& protocol,
     require(n < (std::uint64_t{1} << 32), "simulate_collapsed: population must fit 32 bits");
     require_engine_field(options, SimulationEngine::kCollapsedBatch, "simulate_collapsed");
 
-    const unsigned threads = resolved_threads(options);
-    require(threads <= 4096, "simulate_collapsed: threads must be at most 4096");
-    if (threads <= 1) {
-        CollapsedStepper stepper(protocol, initial);
-        stepper.set_telemetry(options.telemetry);
-        return run_loop(stepper, protocol, options, "simulate_collapsed");
-    }
-    ParallelCollapsedStepper stepper(protocol, initial, threads);
+    CollapsedStepper stepper(protocol, initial);
     stepper.set_telemetry(options.telemetry);
     return run_loop(stepper, protocol, options, "simulate_collapsed");
 }

@@ -55,24 +55,6 @@
 // count-batch engine remains better on sparse tails, where its geometric
 // null skip crosses n^2/W interactions in O(1) while a super-step only
 // crosses ~sqrt(n) (see README's engine table and bench_collapsed).
-//
-// Intra-run parallelism (RunOptions::threads > 1, DESIGN.md "Intra-run
-// parallelism").  A super-step's batch is exchangeable: the 2L touched
-// agents are a uniform without-replacement sample, so splitting the L pairs
-// into K shards — pool sizes carved by exact multivariate-hypergeometric
-// splits on the parent stream, each shard's initiator draw + matching run
-// on its own 2^128-jump child stream (Rng::split) — and merging the
-// per-shard deltas in fixed shard order yields exactly the serial law for
-// every K.  The colliding interaction and the effective-pair recount stay
-// on the parent stream after the merge.  Determinism contract: a fixed
-// (seed, threads) pair is bit-identical across repetitions, machines, and
-// pool schedules (shard k always consumes child stream k regardless of
-// which worker runs it); different thread counts give different —
-// distribution-identical — trajectories.  Checkpoints record the K child
-// streams (RunCheckpoint::shard_rngs) under the distinct engine tag
-// "parallel_collapsed", so a resume must use the same thread count and
-// serial/parallel checkpoints mutually reject.  threads == 1 *is* the
-// serial engine; threads == 0 resolves to the hardware concurrency.
 
 #ifndef POPPROTO_CORE_COLLAPSED_SIMULATOR_H
 #define POPPROTO_CORE_COLLAPSED_SIMULATOR_H
@@ -85,13 +67,10 @@ namespace popproto {
 
 /// Simulates `protocol` from `initial` under uniform random pairing using
 /// the collapsed super-step engine.  Requires a population of at least 2
-/// and fewer than 2^32 agents, options.engine in {kAuto, kCollapsedBatch},
-/// and options.threads <= 4096.  Same options and result contract as
-/// simulate_counts (silence_check_period ignored; multiset-wise
-/// effective_interactions and last_output_change), with the super-step
-/// coarsenings described above.  threads > 1 selects the sharded parallel
-/// variant (see the header comment); the RunResult::engine field reports
-/// which variant ran.
+/// and fewer than 2^32 agents, and options.engine in {kAuto,
+/// kCollapsedBatch}.  Same options and result contract as simulate_counts
+/// (silence_check_period ignored; multiset-wise effective_interactions and
+/// last_output_change), with the super-step coarsenings described above.
 RunResult simulate_collapsed(const TabulatedProtocol& protocol,
                              const CountConfiguration& initial, const RunOptions& options);
 

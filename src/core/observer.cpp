@@ -73,8 +73,6 @@ const char* observed_engine_name(ObservedEngine engine) {
             return "count_batch";
         case ObservedEngine::kCollapsed:
             return "collapsed";
-        case ObservedEngine::kParallelCollapsed:
-            return "parallel_collapsed";
         case ObservedEngine::kWeighted:
             return "weighted";
         case ObservedEngine::kGraph:
@@ -92,8 +90,8 @@ const char* observed_engine_name(ObservedEngine engine) {
 bool observed_engine_from_name(const std::string& name, ObservedEngine& engine) {
     for (const ObservedEngine candidate :
          {ObservedEngine::kAgentArray, ObservedEngine::kCountBatch, ObservedEngine::kCollapsed,
-          ObservedEngine::kParallelCollapsed, ObservedEngine::kWeighted, ObservedEngine::kGraph,
-          ObservedEngine::kScheduler, ObservedEngine::kPairModel, ObservedEngine::kAdaptive}) {
+          ObservedEngine::kWeighted, ObservedEngine::kGraph, ObservedEngine::kScheduler,
+          ObservedEngine::kPairModel, ObservedEngine::kAdaptive}) {
         if (name == observed_engine_name(candidate)) {
             engine = candidate;
             return true;

@@ -90,10 +90,6 @@ enum class ObservedEngine {
     kAgentArray,
     kCountBatch,
     kCollapsed,
-    /// The sharded collapsed engine (RunOptions::threads > 1).  Kept
-    /// distinct from kCollapsed because the two consume different RNG
-    /// streams: checkpoints of one must not resume as the other.
-    kParallelCollapsed,
     kWeighted,
     kGraph,
     kScheduler,

@@ -63,36 +63,6 @@ double Rng::uniform01() noexcept {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
-void Rng::jump() noexcept {
-    // Blackman & Vigna's jump constants for xoshiro256**: the state-update
-    // matrix raised to 2^128, expressed in the polynomial basis.
-    static constexpr std::uint64_t kJump[4] = {
-        0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-        0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-    std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-    for (const std::uint64_t word : kJump) {
-        for (int bit = 0; bit < 64; ++bit) {
-            if (word & (std::uint64_t{1} << bit)) {
-                s0 ^= state_[0];
-                s1 ^= state_[1];
-                s2 ^= state_[2];
-                s3 ^= state_[3];
-            }
-            (*this)();
-        }
-    }
-    state_[0] = s0;
-    state_[1] = s1;
-    state_[2] = s2;
-    state_[3] = s3;
-}
-
-Rng Rng::split() noexcept {
-    Rng child = *this;  // child keeps the current position...
-    jump();             // ...and the parent moves 2^128 draws past it
-    return child;
-}
-
 Rng::StreamState Rng::save_state() const noexcept {
     StreamState state;
     for (int i = 0; i < 4; ++i) state.words[static_cast<std::size_t>(i)] = state_[i];

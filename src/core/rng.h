@@ -71,21 +71,6 @@ public:
         friend bool operator==(const StreamState&, const StreamState&) = default;
     };
 
-    /// Advances the stream by 2^128 draws in O(1) (the canonical xoshiro256**
-    /// jump polynomial).  Two positions separated by a jump head disjoint
-    /// subsequences of length 2^128 — the substrate for `split`.
-    void jump() noexcept;
-
-    /// Carves an independent child stream off this one: the child starts at
-    /// the current position and this stream jumps 2^128 draws ahead, so the
-    /// child owns [pos, pos + 2^128) and the parent continues beyond it.
-    /// K successive splits hand out K pairwise-disjoint 2^128-draw blocks —
-    /// deterministic in (parent state, split order), which is what makes the
-    /// parallel collapsed engine reproducible for a fixed (seed, K)
-    /// (collapsed_simulator.cpp).  Children support save_state /
-    /// restore_state like any Rng, so checkpoints can carry shard streams.
-    Rng split() noexcept;
-
     /// Captures the current stream position.
     StreamState save_state() const noexcept;
 

@@ -96,8 +96,6 @@ namespace {
 //   pending_skip <0|1> <remaining>
 //   interaction_model <name> <k> <w...> (stateful pairing models only;
 //                                        k serialized model words)
-//   shard_rngs <K> <w...>               (parallel collapsed engine only;
-//                                        4K words, shard-major)
 //   adaptive <switches> <last_switch> <next_eval>
 //                                       (adaptive dispatcher segments only;
 //                                        engine-switch monitor state)
@@ -106,11 +104,12 @@ namespace {
 //   end
 //
 // All integers are decimal.  Exactly one of counts/agents is present; the
-// interaction_model, shard_rngs, and adaptive lines are present exactly
-// when the run carries a stateful pairing model / shard streams / a
-// switch monitor (all are optional lines, so v1 readers of old checkpoints
-// still work and plain static runs serialize byte-identically to
-// checkpoints written before each section existed).
+// interaction_model and adaptive lines are present exactly when the run
+// carries a stateful pairing model / a switch monitor (both are optional
+// lines, so v1 readers of old checkpoints still work and plain static runs
+// serialize byte-identically to checkpoints written before each section
+// existed).  Checkpoints written by the removed intra-run sharding are
+// rejected with a message that names it.
 
 /// Line-oriented tokenizer for the grammar above.  The grammar is one key
 /// per line, so every parse error can name the line number and the
@@ -213,12 +212,6 @@ void write_checkpoint(std::ostream& out, const RunCheckpoint& checkpoint) {
         for (const std::uint64_t word : checkpoint.model_state) out << ' ' << word;
         out << "\n";
     }
-    if (!checkpoint.shard_rngs.empty()) {
-        out << "shard_rngs " << checkpoint.shard_rngs.size();
-        for (const Rng::StreamState& shard : checkpoint.shard_rngs)
-            for (const std::uint64_t word : shard.words) out << ' ' << word;
-        out << "\n";
-    }
     if (checkpoint.adaptive) {
         out << "adaptive " << checkpoint.adaptive_switches << ' '
             << checkpoint.adaptive_last_switch << ' ' << checkpoint.adaptive_next_eval << "\n";
@@ -252,6 +245,9 @@ RunCheckpoint read_checkpoint(std::istream& in) {
     parser.next_line("engine");
     parser.expect("engine");
     const std::string engine_name = parser.token("engine name");
+    if (engine_name == "parallel_collapsed")
+        parser.fail("engine 'parallel_collapsed' was removed with intra-run sharding; "
+                    "single runs are serial");
     if (!observed_engine_from_name(engine_name, checkpoint.engine))
         parser.fail("unknown engine '" + engine_name + "'");
     parser.end_line();
@@ -278,7 +274,7 @@ RunCheckpoint read_checkpoint(std::istream& in) {
 
     parser.next_line("counts");
     std::string payload =
-        parser.token("'interaction_model', 'shard_rngs', 'adaptive', 'counts' or 'agents'");
+        parser.token("'interaction_model', 'adaptive', 'counts' or 'agents'");
     if (payload == "interaction_model") {
         checkpoint.interaction_model = parser.token("interaction model name");
         const std::uint64_t words = parser.u64("model state length");
@@ -288,20 +284,10 @@ RunCheckpoint read_checkpoint(std::istream& in) {
         for (std::uint64_t& word : checkpoint.model_state) word = parser.u64("model word");
         parser.end_line();
         parser.next_line("counts");
-        payload = parser.token("'shard_rngs', 'adaptive', 'counts' or 'agents'");
-    }
-    if (payload == "shard_rngs") {
-        const std::uint64_t shards = parser.u64("shard count");
-        if (shards < 1 || shards > 65536)
-            parser.fail("bad shard count '" + std::to_string(shards) + "'");
-        checkpoint.shard_rngs.resize(shards);
-        for (Rng::StreamState& shard : checkpoint.shard_rngs)
-            for (std::uint64_t& shard_word : shard.words)
-                shard_word = parser.u64("shard rng word");
-        parser.end_line();
-        parser.next_line("counts");
         payload = parser.token("'adaptive', 'counts' or 'agents'");
     }
+    if (payload == "shard_rngs")
+        parser.fail("'shard_rngs' was removed with intra-run sharding; single runs are serial");
     if (payload == "adaptive") {
         checkpoint.adaptive = true;
         checkpoint.adaptive_switches = parser.u64("adaptive switch count");
@@ -343,8 +329,6 @@ void transfer_checkpoint_engine(RunCheckpoint& checkpoint, ObservedEngine target
                 observed_engine_name(checkpoint.engine) + " checkpoint");
     require(!checkpoint.has_pending_skip,
             "transfer_checkpoint_engine: checkpoint carries a pending null skip");
-    require(checkpoint.shard_rngs.empty(),
-            "transfer_checkpoint_engine: checkpoint carries shard RNG streams");
     require(!checkpoint.counts.empty() && checkpoint.agent_states.empty(),
             "transfer_checkpoint_engine: checkpoint must carry a count configuration");
     checkpoint.engine = target;

@@ -117,13 +117,6 @@ struct RunCheckpoint {
     bool has_pending_skip = false;
     std::uint64_t pending_null_skips = 0;
 
-    /// Parallel collapsed engine only: the per-shard child RNG streams, in
-    /// shard order (size == the run's thread count K).  Shards keep drawing
-    /// from their own streams across super-steps, so a checkpoint must
-    /// carry all K positions alongside the parent stream in `rng`; resuming
-    /// requires the same K (the serial engine leaves this empty).
-    std::vector<Rng::StreamState> shard_rngs;
-
     /// Phase-adaptive dispatcher section (simulate_adaptive): the engine
     /// monitor's mutable state at the cut, so a resumed adaptive run replays
     /// its switch decisions exactly.  `engine` still names the concrete
@@ -198,8 +191,7 @@ RunCheckpoint read_checkpoint_file(const std::string& path);
 /// resumed run draws from the identical stream position.  Throws when the
 /// source or target engine is not transferable, when a pending null skip is
 /// outstanding (the skip draw belongs to the source engine's stream
-/// semantics), or when the checkpoint carries shard streams or a per-agent
-/// configuration.
+/// semantics), or when the checkpoint carries a per-agent configuration.
 void transfer_checkpoint_engine(RunCheckpoint& checkpoint, ObservedEngine target);
 
 // ---------------------------------------------------------------------------
@@ -311,16 +303,6 @@ concept SuperStepStepper = StepperBase<S> && S::kSuperSteps && !S::kGeometricSki
 template <typename S>
 concept Stepper = SingleStepStepper<S> || SuperStepStepper<S>;
 
-/// Steppers that honour RunOptions::threads > 1 declare `static constexpr
-/// bool kParallel = true` (the sharded collapsed stepper is the only one).
-/// For every other stepper the kernel rejects threads > 1 up front, so a
-/// thread request can never be silently ignored by a sequential engine —
-/// the same never-ignore contract as SimulationEngine resolution.
-template <typename S>
-concept ParallelStepper = Stepper<S> && requires {
-    { S::kParallel } -> std::convertible_to<bool>;
-} && S::kParallel;
-
 // ---------------------------------------------------------------------------
 // The kernel
 
@@ -352,13 +334,6 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             where + ": pause_after requires a checkpoint_sink");
     require(options.switch_monitor == nullptr || options.checkpoint_sink != nullptr,
             where + ": switch_monitor requires a checkpoint_sink");
-    if constexpr (!ParallelStepper<S>) {
-        // threads == 0 (auto) is fine — it resolves to 1 for sequential
-        // engines — but an explicit request for parallelism is not.
-        require(options.threads <= 1,
-                where + ": this engine is sequential; threads > 1 is only "
-                        "supported by the collapsed engine");
-    }
 
     Rng rng(options.seed);
     RunResult result{CountConfiguration(protocol.num_states()), StopReason::kBudget, 0, 0, 0,
@@ -372,12 +347,7 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     // with and without it (tests/telemetry_test.cpp).
     telemetry::RunTelemetryCollector* const collector =
         telemetry::kCompiledIn ? options.telemetry : nullptr;
-    if (collector) {
-        unsigned run_threads = 1;
-        if constexpr (requires { { stepper.threads() } -> std::convertible_to<unsigned>; })
-            run_threads = stepper.threads();
-        collector->begin_run(observed_engine_name(S::kEngine), n, run_threads);
-    }
+    if (collector) collector->begin_run(observed_engine_name(S::kEngine), n);
 
     std::uint64_t next_check = check_period;
     std::uint64_t changed_since_check = 1;

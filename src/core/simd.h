@@ -44,8 +44,8 @@ inline void store_u64x2(std::uint64_t* p, u64x2 v) noexcept {
 }
 #endif
 
-/// dst[i] += add[i] - sub1[i] - sub2[i] for i in [0, n).  The serial
-/// collapsed engine's count-delta application: new counts = old + touched -
+/// dst[i] += add[i] - sub1[i] - sub2[i] for i in [0, n).  The collapsed
+/// engine's count-delta application: new counts = old + touched -
 /// initiators - responders (unsigned wraparound in the intermediates is
 /// fine; the final value is the exact non-negative count).
 inline void add_sub_sub(std::uint64_t* dst, const std::uint64_t* add,
@@ -59,17 +59,6 @@ inline void add_sub_sub(std::uint64_t* dst, const std::uint64_t* add,
     }
 #endif
     for (; i < n; ++i) dst[i] += add[i] - sub1[i] - sub2[i];
-}
-
-/// dst[i] += src[i] for i in [0, n) (the per-shard touched-multiset merge
-/// and the sharded count update counts = residual + merged touched).
-inline void add(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) noexcept {
-    std::size_t i = 0;
-#if POPPROTO_SIMD_VECTOR_EXT
-    for (; i + 2 <= n; i += 2)
-        store_u64x2(dst + i, load_u64x2(dst + i) + load_u64x2(src + i));
-#endif
-    for (; i < n; ++i) dst[i] += src[i];
 }
 
 /// Sum of values[i] over the i with mask[i] != 0 — one row of the

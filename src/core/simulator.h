@@ -51,9 +51,8 @@ struct RunCheckpoint;
 enum class SimulationEngine {
     /// Defer to the call site: `run_simulation` selects by population size
     /// (agent array below kAutoCountBatchThreshold, count-batch up to
-    /// kAutoCollapsedThreshold, the phase-adaptive dispatcher beyond —
-    /// threads > 1 still pins the collapsed engine, the only parallel one),
-    /// and each direct entry point runs itself.
+    /// kAutoCollapsedThreshold, the phase-adaptive dispatcher beyond), and
+    /// each direct entry point runs itself.
     kAuto,
     /// Expanded agent array, one RNG draw per agent per interaction.  The
     /// reference implementation: O(n) memory, O(1) per interaction.
@@ -76,7 +75,7 @@ enum class SimulationEngine {
     /// mid-run as the effective-interaction fraction crosses the hysteresis
     /// thresholds in RunOptions::adaptive — a checkpoint-shaped state
     /// transfer at a loop boundary, bit-identical to a manual splice at the
-    /// same index.  Serial only (threads <= 1).
+    /// same index.
     kAdaptive,
 };
 
@@ -118,18 +117,6 @@ struct RunOptions {
 
     /// Engine selection; see the SimulationEngine resolution contract.
     SimulationEngine engine = SimulationEngine::kAuto;
-
-    /// Intra-run worker threads.  Only the collapsed engine parallelizes
-    /// (collapsed_simulator.h: super-steps are sharded across this many
-    /// workers); every other engine is inherently sequential and rejects
-    /// values > 1.  0 resolves to the hardware concurrency (clamped by
-    /// measure_trials so trials x shards never oversubscribes), 1 (the
-    /// default) is the serial engine.  For a fixed (seed, threads) the run
-    /// is bit-identical across machines and pool schedules; changing
-    /// `threads` changes the consumed RNG streams, so results across thread
-    /// counts agree in distribution, not bit for bit (threads >= 2 all
-    /// consume the same *parent* stream, but shard streams differ).
-    unsigned threads = 1;
 
     /// Run-trace instrumentation hook (core/observer.h); borrowed, may be
     /// nullptr (the default — costs one branch per interaction).  Observation

@@ -53,15 +53,15 @@ void append_counts(std::ostringstream& out, const std::vector<std::uint64_t>& co
     out << ']';
 }
 
-/// The "telemetry" event line: phase timers, shard utilization, and the
-/// engine-specific batch/skip aggregates of one finished run (schema in
-/// DESIGN.md "Observability").
+/// The "telemetry" event line: phase timers and the engine-specific
+/// batch/skip aggregates of one finished run (schema in DESIGN.md
+/// "Observability").
 std::string telemetry_line(const telemetry::RunTelemetry& data) {
     std::ostringstream line;
     line << "{\"event\":\"telemetry\",\"schema_version\":"
          << telemetry::RunTelemetry::kSchemaVersion << ",\"engine\":\"" << data.engine
-         << "\",\"population\":" << data.population << ",\"threads\":" << data.threads
-         << ",\"wall_ns\":" << data.wall_ns << ",\"interactions\":" << data.interactions
+         << "\",\"population\":" << data.population << ",\"wall_ns\":" << data.wall_ns
+         << ",\"interactions\":" << data.interactions
          << ",\"effective_interactions\":" << data.effective_interactions << ",\"phases\":{";
     bool first = true;
     for (std::size_t p = 0; p < telemetry::kNumPhases; ++p) {
@@ -73,14 +73,7 @@ std::string telemetry_line(const telemetry::RunTelemetry& data) {
              << "\":{\"ns\":" << stat.total_ns << ",\"calls\":" << stat.calls
              << ",\"max_ns\":" << stat.max_ns << '}';
     }
-    line << "},\"shards\":[";
-    for (std::size_t k = 0; k < data.shards.size(); ++k) {
-        if (k != 0) line << ',';
-        line << "{\"tasks\":" << data.shards[k].tasks
-             << ",\"busy_ns\":" << data.shards[k].busy_ns
-             << ",\"wait_ns\":" << data.shards[k].wait_ns << '}';
-    }
-    line << ']';
+    line << '}';
     if (!data.engine_segments.empty()) {
         line << ",\"engine_switches\":" << data.engine_switches << ",\"engine_segments\":[";
         for (std::size_t k = 0; k < data.engine_segments.size(); ++k) {
@@ -91,9 +84,7 @@ std::string telemetry_line(const telemetry::RunTelemetry& data) {
         }
         line << ']';
     }
-    line << ",\"pool_rounds\":" << data.pool_rounds
-         << ",\"inline_rounds\":" << data.inline_rounds
-         << ",\"super_steps\":" << data.super_steps
+    line << ",\"super_steps\":" << data.super_steps
          << ",\"clamped_super_steps\":" << data.clamped_super_steps
          << ",\"super_step_pairs\":" << data.super_step_pairs
          << ",\"geometric_skips\":" << data.geometric_skips

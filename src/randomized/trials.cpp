@@ -21,13 +21,11 @@ namespace {
 /// independent of scheduling.
 std::vector<TrialRecord> run_all_trials(const TabulatedProtocol& protocol,
                                         const CountConfiguration& initial,
-                                        const TrialOptions& options, unsigned threads,
-                                        unsigned intra_run_threads) {
+                                        const TrialOptions& options, unsigned threads) {
     std::vector<TrialRecord> results(options.trials);
     const auto run_one = [&](std::uint64_t trial) {
         RunOptions run_options = options.base;
         run_options.seed = options.base.seed + trial;
-        run_options.threads = intra_run_threads;
         if (options.observer_factory) run_options.observer = options.observer_factory(trial);
         const RunResult result = run_simulation(protocol, initial, run_options);
         results[trial] = {result.stop_reason,  result.consensus,
@@ -83,18 +81,7 @@ TrialSummary measure_trials(const TabulatedProtocol& protocol,
                                             : std::max(1u, std::thread::hardware_concurrency());
     if (threads > options.trials) threads = static_cast<unsigned>(options.trials);
 
-    // Intra-run shards (RunOptions::threads): an explicit value is honoured
-    // verbatim — per-trial results must be independent of the trial fan-out
-    // — while auto (0) divides the hardware among the trial workers so
-    // trials x shards never oversubscribes (see TrialOptions::threads).
-    unsigned intra_run_threads = options.base.threads;
-    if (intra_run_threads == 0) {
-        const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-        intra_run_threads = std::max(1u, hw / threads);
-    }
-
-    std::vector<TrialRecord> results =
-        run_all_trials(protocol, initial, options, threads, intra_run_threads);
+    std::vector<TrialRecord> results = run_all_trials(protocol, initial, options, threads);
 
     TrialSummary summary;
     summary.trials = options.trials;

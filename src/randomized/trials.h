@@ -33,8 +33,8 @@ struct TrialRecord {
     std::uint64_t interactions = 0;
     std::uint64_t effective_interactions = 0;
     /// Which engine executed the trial (RunResult::engine) — with
-    /// base.engine = kAuto and base.threads = 0 the resolution depends on
-    /// population size and hardware, so the record keeps the receipt.
+    /// base.engine = kAuto the resolution depends on population size, so
+    /// the record keeps the receipt.
     ObservedEngine engine = ObservedEngine::kAgentArray;
 };
 
@@ -85,14 +85,8 @@ struct TrialOptions {
     /// base.seed + t and results are aggregated in trial order, so the
     /// summary is bit-identical at every thread count.  A base.observer, if
     /// any, receives callbacks from every worker concurrently and must be
-    /// thread-safe (e.g. MetricsCollector).
-    ///
-    /// Composition with intra-run parallelism (RunOptions::threads): an
-    /// *explicit* base.threads is honoured in every trial exactly as given
-    /// — trial results must not depend on the trial fan-out — so the caller
-    /// owns the trials x shards product; base.threads == 0 (auto) resolves
-    /// to hardware_concurrency / trial-threads (at least 1), which keeps
-    /// the product at the hardware concurrency without oversubscription.
+    /// thread-safe (e.g. MetricsCollector).  Trials are the parallel unit:
+    /// each run itself is serial.
     unsigned threads = 1;
     /// Retain TrialSummary::records (one TrialRecord per trial).
     bool keep_records = false;

@@ -143,14 +143,11 @@ std::string RunRegistry::submit(const SessionSpec& spec) {
     const CountConfiguration initial = build_initial(*protocol, spec);
     require(initial.population_size() >= 2, "submit: population must be at least 2");
     parse_engine_name(spec.engine);
-    require(spec.threads <= 1 || spec.engine == "auto" || spec.engine == "collapsed",
-            "submit: threads > 1 requires the collapsed engine");
     if (spec.model != "uniform") {
         const std::vector<std::string>& names = scenario_model_names();
         require(std::find(names.begin(), names.end(), spec.model) != names.end(),
                 "submit: unknown model \"" + spec.model + "\"");
-        require(spec.engine == "auto" && spec.threads <= 1,
-                "submit: non-uniform models require engine \"auto\" and threads <= 1");
+        require(spec.engine == "auto", "submit: non-uniform models require engine \"auto\"");
         if (spec.model == "dynamic_graph")
             require(!spec.phases.empty(), "submit: dynamic_graph requires phases");
     }
@@ -177,16 +174,11 @@ std::string RunRegistry::submit(const SessionSpec& spec) {
 }
 
 /// Sessions contending for workers right now (the admission-bound metric
-/// and the stats "queue_depth" value).  Caller holds mutex_.
-std::size_t RunRegistry::backlog_locked() const {
-    std::size_t backlog = 0;
-    for (const auto& [id, session] : sessions_) {
-        if (session->state == SessionState::kQueued ||
-            session->state == SessionState::kRunning)
-            ++backlog;
-    }
-    return backlog;
-}
+/// and the stats "queue_depth" value): the queued sessions are exactly the
+/// scheduler ring and the running ones exactly the dispatched quanta, so
+/// this is O(1) however many terminal sessions the registry keeps.  Caller
+/// holds mutex_.
+std::size_t RunRegistry::backlog_locked() const { return scheduler_.size() + running_; }
 
 std::shared_ptr<RunRegistry::Session> RunRegistry::find_session(const std::string& id) const {
     const auto it = sessions_.find(id);
@@ -408,7 +400,6 @@ RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
 
         RunOptions options;
         options.engine = parse_engine_name(session.spec.engine);
-        options.threads = session.spec.threads;
         options.seed = session.spec.seed;
         options.max_interactions = session.spec.budget;
         options.observer = &observers;

@@ -85,10 +85,14 @@ void WireServer::stop() {
         return;
     }
     // Shut the listener down first so accept() unblocks, then every
-    // connection so their readers unblock.
+    // connection so their readers unblock.  Each descriptor is closed only
+    // once no other thread can still be using it: the listener after the
+    // accept thread has exited, a connection after its reader has exited
+    // and under its write mutex, which subscription sinks on registry
+    // workers hold while they send.
     if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-    close_fd(listen_fd_);
     if (accept_thread_.joinable()) accept_thread_.join();
+    close_fd(listen_fd_);
     std::vector<std::pair<std::shared_ptr<Connection>, std::thread>> connections;
     {
         const std::lock_guard<std::mutex> lock(connections_mutex_);
@@ -98,6 +102,7 @@ void WireServer::stop() {
         connection->alive.store(false);
         if (connection->fd >= 0) ::shutdown(connection->fd, SHUT_RDWR);
         if (thread.joinable()) thread.join();
+        const std::lock_guard<std::mutex> lock(connection->write_mutex);
         close_fd(connection->fd);
     }
     if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());

@@ -49,9 +49,10 @@ SessionSpec parse_session_spec(const JsonValue& object) {
             "'threshold' out of range");
     spec.threshold = static_cast<std::uint32_t>(threshold);
 
-    const std::uint64_t threads = u64_field(object, "threads", spec.threads);
-    require(threads <= 4096, "'threads' out of range");
-    spec.threads = static_cast<unsigned>(threads);
+    // Manifests written before intra-run sharding was removed carry
+    // "threads": 1 (or 0); those still load, anything larger cannot run.
+    require(u64_field(object, "threads", 1) <= 1,
+            "'threads' > 1 was removed with intra-run sharding; single runs are serial");
 
     const JsonValue* counts = object.find("counts");
     require(counts != nullptr, "submit requires 'counts' (agents per input symbol)");
@@ -82,7 +83,6 @@ SessionSpec parse_session_spec(const JsonValue& object) {
                     "\" (uniform, round_robin, sweep, adversarial, dynamic_graph, "
                     "grid_mobility)");
         require(spec.engine == "auto", "'model' other than uniform requires engine \"auto\"");
-        require(spec.threads <= 1, "'model' other than uniform requires threads <= 1");
         if (spec.model == "dynamic_graph")
             require(!spec.phases.empty(), "model \"dynamic_graph\" requires 'phases'");
     }
@@ -118,7 +118,6 @@ JsonValue session_spec_to_json(const SessionSpec& spec) {
             object.emplace_back("radius", JsonValue(spec.radius));
         }
     }
-    object.emplace_back("threads", JsonValue(std::uint64_t{spec.threads}));
     object.emplace_back("seed", JsonValue(spec.seed));
     object.emplace_back("budget", JsonValue(spec.budget));
     object.emplace_back("quantum", JsonValue(spec.quantum));

@@ -58,8 +58,7 @@ struct SessionSpec {
     /// Pairing discipline: "uniform" (the classic scheduler, dispatched via
     /// run_simulation) or one of scenario_model_names() ("round_robin",
     /// "sweep", "adversarial", "dynamic_graph", "grid_mobility"), dispatched
-    /// via run_scenario.  Non-uniform models require engine == "auto" and
-    /// threads <= 1 (the pairing state is inherently sequential).
+    /// via run_scenario.  Non-uniform models require engine == "auto".
     std::string model = "uniform";
 
     /// adversarial: per-step look-ahead for null interactions.
@@ -76,9 +75,6 @@ struct SessionSpec {
     std::uint64_t torus_width = 0;
     std::uint64_t torus_height = 0;
     std::uint64_t radius = 1;
-
-    /// Intra-run worker threads (collapsed engine only, like RunOptions).
-    unsigned threads = 1;
 
     std::uint64_t seed = 1;
 

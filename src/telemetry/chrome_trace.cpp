@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <ostream>
-#include <set>
 #include <stdexcept>
 
 namespace popproto::telemetry {
@@ -19,10 +18,7 @@ void write_us(std::ostream& out, std::uint64_t ns) {
         << static_cast<char>('0' + frac % 10);
 }
 
-void write_thread_name(std::ostream& out, std::uint32_t tid, const std::string& name,
-                       bool& first) {
-    if (!first) out << ",\n";
-    first = false;
+void write_thread_name(std::ostream& out, std::uint32_t tid, const char* name) {
     out << R"({"ph":"M","pid":0,"tid":)" << tid
         << R"(,"name":"thread_name","args":{"name":")" << name << R"("}})";
 }
@@ -33,30 +29,22 @@ void write_chrome_trace(std::ostream& out, const RunTelemetry& telemetry) {
     out << "{\"displayTimeUnit\":\"ms\",\n\"otherData\":{"
         << "\"schema_version\":" << RunTelemetry::kSchemaVersion << ",\"engine\":\""
         << telemetry.engine << "\",\"population\":" << telemetry.population
-        << ",\"threads\":" << telemetry.threads << ",\"interactions\":"
-        << telemetry.interactions << ",\"spans_dropped\":" << telemetry.spans_dropped
-        << "},\n\"traceEvents\":[\n";
+        << ",\"interactions\":" << telemetry.interactions
+        << ",\"spans_dropped\":" << telemetry.spans_dropped << "},\n\"traceEvents\":[\n";
 
-    bool first = true;
-    std::set<std::uint32_t> tids;
-    tids.insert(0);
-    for (const TraceSpan& span : telemetry.spans) tids.insert(span.tid);
-    for (const std::uint32_t tid : tids) {
-        write_thread_name(out, tid,
-                          tid == 0 ? "run_loop" : "shard " + std::to_string(tid - 1), first);
-    }
+    write_thread_name(out, 0, "run_loop");
 
     // Adaptive runs: one span per engine segment on a dedicated lane, laid
     // end-to-end by cumulative segment wall time (the segment log records
     // durations, not absolute stamps; the switch transfers between them are
     // the kEngineSwitch spans on the run_loop lane).
     if (!telemetry.engine_segments.empty()) {
-        const std::uint32_t segments_tid = *tids.rbegin() + 1;
-        write_thread_name(out, segments_tid, "engine segments", first);
+        out << ",\n";
+        write_thread_name(out, 1, "engine segments");
         std::uint64_t cursor_ns = 0;
         for (const auto& segment : telemetry.engine_segments) {
             out << ",\n";
-            out << R"({"ph":"X","pid":0,"tid":)" << segments_tid << ",\"ts\":";
+            out << R"({"ph":"X","pid":0,"tid":1,"ts":)";
             write_us(out, cursor_ns);
             out << ",\"dur\":";
             write_us(out, segment.wall_ns);
@@ -67,9 +55,8 @@ void write_chrome_trace(std::ostream& out, const RunTelemetry& telemetry) {
     }
 
     for (const TraceSpan& span : telemetry.spans) {
-        if (!first) out << ",\n";
-        first = false;
-        out << R"({"ph":"X","pid":0,"tid":)" << span.tid << ",\"ts\":";
+        out << ",\n";
+        out << R"({"ph":"X","pid":0,"tid":0,"ts":)";
         write_us(out, span.begin_ns);
         out << ",\"dur\":";
         write_us(out, span.end_ns > span.begin_ns ? span.end_ns - span.begin_ns : 0);

@@ -1,8 +1,9 @@
 // Chrome trace-event exporter: serializes a RunTelemetry span log as a JSON
 // object trace ({"traceEvents": [...]}) loadable in chrome://tracing and
 // Perfetto (ui.perfetto.dev).  Spans become "X" (complete) events with
-// microsecond ts/dur; tid 0 is the driving thread, tid k >= 1 is pool shard
-// k-1, each named via thread_name metadata events.
+// microsecond ts/dur on the driving thread's lane (tid 0, "run_loop");
+// adaptive runs add an "engine segments" lane (tid 1).  Lanes are named via
+// thread_name metadata events.
 
 #ifndef POPPROTO_TELEMETRY_CHROME_TRACE_H
 #define POPPROTO_TELEMETRY_CHROME_TRACE_H

@@ -36,8 +36,8 @@ void write_prometheus(std::ostream& out, const RunTelemetry& telemetry) {
     family(out, "popproto_run_info", "gauge",
            "Run identity (value is the telemetry schema version).");
     out << "popproto_run_info{engine=\"" << telemetry.engine
-        << "\",population=\"" << telemetry.population << "\",threads=\""
-        << telemetry.threads << "\"} " << RunTelemetry::kSchemaVersion << '\n';
+        << "\",population=\"" << telemetry.population << "\"} "
+        << RunTelemetry::kSchemaVersion << '\n';
 
     family(out, "popproto_run_wall_seconds", "gauge", "Wall time of the run.");
     out << "popproto_run_wall_seconds ";
@@ -69,35 +69,6 @@ void write_prometheus(std::ostream& out, const RunTelemetry& telemetry) {
         if (stat.calls == 0) continue;
         out << "popproto_phase_calls_total{phase=\""
             << phase_name(static_cast<Phase>(p)) << "\"} " << stat.calls << '\n';
-    }
-
-    if (!telemetry.shards.empty()) {
-        family(out, "popproto_shard_busy_seconds_total", "counter",
-               "Per-shard task execution time in the fork-merge pool.");
-        for (std::size_t k = 0; k < telemetry.shards.size(); ++k) {
-            out << "popproto_shard_busy_seconds_total{shard=\"" << k << "\"} ";
-            write_seconds(out, telemetry.shards[k].busy_ns);
-            out << '\n';
-        }
-        family(out, "popproto_shard_wait_seconds_total", "counter",
-               "Per-shard barrier-imbalance wait time (round wall minus busy).");
-        for (std::size_t k = 0; k < telemetry.shards.size(); ++k) {
-            out << "popproto_shard_wait_seconds_total{shard=\"" << k << "\"} ";
-            write_seconds(out, telemetry.shards[k].wait_ns);
-            out << '\n';
-        }
-        family(out, "popproto_shard_tasks_total", "counter",
-               "Per-shard tasks executed by the fork-merge pool.");
-        for (std::size_t k = 0; k < telemetry.shards.size(); ++k) {
-            out << "popproto_shard_tasks_total{shard=\"" << k << "\"} "
-                << telemetry.shards[k].tasks << '\n';
-        }
-        family(out, "popproto_pool_rounds_total", "counter",
-               "Super-step rounds dispatched through the pool vs run inline.");
-        out << "popproto_pool_rounds_total{path=\"pooled\"} " << telemetry.pool_rounds
-            << '\n';
-        out << "popproto_pool_rounds_total{path=\"inline\"} " << telemetry.inline_rounds
-            << '\n';
     }
 
     if (telemetry.super_steps != 0) {

@@ -18,10 +18,6 @@ const char* phase_name(Phase phase) {
             return "run_length_draw";
         case Phase::kSuperStepApply:
             return "super_step_apply";
-        case Phase::kShardCarve:
-            return "shard_carve";
-        case Phase::kShardTasks:
-            return "shard_tasks";
         case Phase::kPairCascade:
             return "pair_cascade";
         case Phase::kDeltaMerge:
@@ -30,8 +26,6 @@ const char* phase_name(Phase phase) {
             return "collision_fixup";
         case Phase::kWRecompute:
             return "w_recompute";
-        case Phase::kShardTask:
-            return "shard_task";
         case Phase::kEngineSwitch:
             return "engine_switch";
         case Phase::kCount:
@@ -42,13 +36,10 @@ const char* phase_name(Phase phase) {
 
 bool phase_is_nested(Phase phase) {
     switch (phase) {
-        case Phase::kShardCarve:
-        case Phase::kShardTasks:
         case Phase::kPairCascade:
         case Phase::kDeltaMerge:
         case Phase::kCollisionFixup:
         case Phase::kWRecompute:
-        case Phase::kShardTask:
             return true;
         default:
             return false;
@@ -113,42 +104,6 @@ void TelemetryRegistry::clear() {
     histograms_.clear();
 }
 
-void PoolTelemetry::configure(std::size_t tasks, std::chrono::steady_clock::time_point epoch,
-                              std::size_t max_spans) {
-    epoch_ = epoch;
-    max_spans_ = max_spans;
-    shards.assign(tasks, ShardStat{});
-    round_begin_.assign(tasks, 0);
-    round_end_.assign(tasks, 0);
-    rounds = 0;
-    rounds_ns = 0;
-    spans.clear();
-    spans_dropped = 0;
-}
-
-void PoolTelemetry::fold_round(std::uint64_t round_begin_ns, std::uint64_t round_end_ns,
-                               std::size_t executed) {
-    const std::uint64_t wall =
-        round_end_ns > round_begin_ns ? round_end_ns - round_begin_ns : 0;
-    ++rounds;
-    rounds_ns += wall;
-    for (std::size_t task = 0; task < executed && task < shards.size(); ++task) {
-        const std::uint64_t begin = round_begin_[task];
-        const std::uint64_t end = round_end_[task];
-        const std::uint64_t busy = end > begin ? end - begin : 0;
-        ShardStat& stat = shards[task];
-        ++stat.tasks;
-        stat.busy_ns += busy;
-        stat.wait_ns += wall > busy ? wall - busy : 0;
-        if (spans.size() < max_spans_) {
-            spans.push_back(
-                {Phase::kShardTask, static_cast<std::uint32_t>(task + 1), begin, end});
-        } else {
-            ++spans_dropped;
-        }
-    }
-}
-
 RunTelemetryCollector::RunTelemetryCollector(std::size_t max_spans)
     : max_spans_(max_spans), data_(std::make_shared<RunTelemetry>()) {}
 
@@ -158,7 +113,6 @@ void RunTelemetryCollector::reset() {
     // result may still be shared via RunResult::telemetry.
     data_ = std::make_shared<RunTelemetry>();
     registry_.clear();
-    pool_ = PoolTelemetry();
     live_interactions_.store(0, std::memory_order_relaxed);
     running_ = false;
     adaptive_scope_ = false;
@@ -167,8 +121,7 @@ void RunTelemetryCollector::reset() {
     segment_boundary_interactions_ = 0;
 }
 
-void RunTelemetryCollector::begin_run(const char* engine, std::uint64_t population,
-                                      unsigned threads) {
+void RunTelemetryCollector::begin_run(const char* engine, std::uint64_t population) {
     if constexpr (!kCompiledIn) return;
     if (adaptive_scope_ && running_) {
         // Segment boundary inside an adaptive run: keep the epoch, phase
@@ -183,7 +136,6 @@ void RunTelemetryCollector::begin_run(const char* engine, std::uint64_t populati
     data_->enabled = true;
     data_->engine = engine;
     data_->population = population;
-    data_->threads = threads;
     data_->spans.reserve(std::min<std::size_t>(max_spans_, 4096));
     running_ = true;
 }
@@ -227,24 +179,14 @@ void RunTelemetryCollector::finish_run(std::uint64_t interactions,
     stepping.max_ns = 0;
     stepping.calls = 0;
 
-    // Fold the pool's per-shard accounting and spans.  The pool log has
-    // its own max_spans budget, so the merged trace holds at most
-    // 2 * max_spans spans — appending it whole keeps the shard lanes
-    // visible even when the driving thread exhausted its own budget first
-    // (a long run drops the tail of BOTH logs, never one lane entirely).
-    data.shards = pool_.shards;
-    data.pool_rounds = pool_.rounds;
-    data.spans.insert(data.spans.end(), pool_.spans.begin(), pool_.spans.end());
-    data.spans_dropped += pool_.spans_dropped;
-
     data.counters = registry_.counters();
     data.histograms = registry_.histograms();
 }
 
-void RunTelemetryCollector::begin_adaptive_run(std::uint64_t population, unsigned threads,
+void RunTelemetryCollector::begin_adaptive_run(std::uint64_t population,
                                                std::uint64_t start_interactions) {
     if constexpr (!kCompiledIn) return;
-    begin_run("adaptive", population, threads);
+    begin_run("adaptive", population);
     adaptive_scope_ = true;
     segment_boundary_interactions_ = start_interactions;
 }
@@ -261,7 +203,7 @@ void RunTelemetryCollector::finish_adaptive_run(std::uint64_t interactions,
 }
 
 void RunTelemetryCollector::record_phase(Phase phase, std::uint64_t begin_ns,
-                                         std::uint64_t end_ns, std::uint32_t tid) {
+                                         std::uint64_t end_ns) {
     if constexpr (!kCompiledIn) return;
     const std::uint64_t duration = end_ns > begin_ns ? end_ns - begin_ns : 0;
     PhaseStat& stat = data_->phases[static_cast<std::size_t>(phase)];
@@ -269,7 +211,7 @@ void RunTelemetryCollector::record_phase(Phase phase, std::uint64_t begin_ns,
     stat.total_ns += duration;
     if (duration > stat.max_ns) stat.max_ns = duration;
     if (data_->spans.size() < max_spans_) {
-        data_->spans.push_back({phase, tid, begin_ns, end_ns});
+        data_->spans.push_back({phase, begin_ns, end_ns});
     } else {
         ++data_->spans_dropped;
     }
@@ -303,7 +245,7 @@ std::string format_ms(std::uint64_t ns) {
 std::string RunTelemetry::to_string() const {
     std::ostringstream out;
     out << "telemetry (schema v" << kSchemaVersion << "): engine=" << engine
-        << " n=" << population << " threads=" << threads << " wall_ms=" << format_ms(wall_ns)
+        << " n=" << population << " wall_ms=" << format_ms(wall_ns)
         << " interactions=" << interactions << " effective=" << effective_interactions << "\n";
     out << "phases (ms, calls, max_ms):\n";
     for (std::size_t p = 0; p < kNumPhases; ++p) {
@@ -311,15 +253,6 @@ std::string RunTelemetry::to_string() const {
         if (stat.calls == 0 && stat.total_ns == 0) continue;
         out << "  " << phase_name(static_cast<Phase>(p)) << ": " << format_ms(stat.total_ns)
             << " ms, " << stat.calls << " calls, max " << format_ms(stat.max_ns) << " ms\n";
-    }
-    if (!shards.empty()) {
-        out << "shards (tasks, busy_ms, wait_ms):\n";
-        for (std::size_t k = 0; k < shards.size(); ++k) {
-            out << "  shard " << k << ": " << shards[k].tasks << " tasks, "
-                << format_ms(shards[k].busy_ns) << " busy, " << format_ms(shards[k].wait_ns)
-                << " wait\n";
-        }
-        out << "pool rounds: " << pool_rounds << " pooled, " << inline_rounds << " inline\n";
     }
     if (super_steps != 0) {
         out << "super-steps: " << super_steps << " (" << clamped_super_steps << " clamped), "

@@ -3,8 +3,7 @@
 // The observe library (src/observe) records *semantic* events — snapshots,
 // output changes, stop reasons.  This library answers a different question:
 // where does the wall time of a run actually go?  Per-phase timers over the
-// run-loop kernel and the collapsed super-step pipeline, per-shard
-// busy/barrier-wait accounting for the fork-merge thread pool, geometric
+// run-loop kernel and the collapsed super-step pipeline, geometric
 // null-skip accounting for the count-batch engine, and a live interaction
 // counter that external threads (e.g. a progress reporter) may poll while
 // the run executes.  Two exporters consume the result: a Chrome trace-event
@@ -27,10 +26,9 @@
 //
 // Threading: a RunTelemetryCollector instruments exactly ONE run at a time
 // (reset() between runs; measure_trials rejects a shared collector).  The
-// driving thread owns phase stats and counters; the thread pool's workers
-// write only disjoint per-task slots whose reads happen after the round
-// barrier; the live interaction counter is a relaxed atomic so a progress
-// thread may poll it concurrently.
+// driving thread owns phase stats and counters; the live interaction
+// counter is a relaxed atomic so a progress thread may poll it
+// concurrently.
 
 #ifndef POPPROTO_TELEMETRY_TELEMETRY_H
 #define POPPROTO_TELEMETRY_TELEMETRY_H
@@ -73,13 +71,10 @@ enum class Phase : std::uint8_t {
     kSnapshotDispatch,  ///< observer snapshot emission (run_loop)
     kRunLengthDraw,     ///< birthday-law super-step length proposal
     kSuperStepApply,    ///< one whole collapsed super-step
-    kShardCarve,        ///< parent-stream hypergeometric pool carves (nested)
-    kShardTasks,        ///< the parallel fan-out section, fork to merge (nested)
     kPairCascade,       ///< initiator/responder draws + row matching (nested)
     kDeltaMerge,        ///< aggregate count-delta application (nested)
     kCollisionFixup,    ///< the single colliding interaction (nested)
     kWRecompute,        ///< effective-pair (W) recount (nested)
-    kShardTask,         ///< one shard's task body (worker thread, span only)
     kEngineSwitch,      ///< adaptive dispatcher: checkpoint-shaped state transfer
     kCount
 };
@@ -103,21 +98,10 @@ struct PhaseStat {
     std::uint64_t max_ns = 0;
 };
 
-/// Per-shard (== per thread-pool task slot) utilization.  `wait_ns` is the
-/// barrier imbalance: round wall time minus this shard's busy time, summed
-/// over rounds — the time the round spent waiting on *other* shards after
-/// this one finished (plus fork/merge overhead).
-struct ShardStat {
-    std::uint64_t tasks = 0;
-    std::uint64_t busy_ns = 0;
-    std::uint64_t wait_ns = 0;
-};
-
-/// One timed interval, in nanoseconds since the collector epoch.  tid 0 is
-/// the driving thread; tid k >= 1 is shard k-1 of the thread pool.
+/// One timed interval on the driving thread, in nanoseconds since the
+/// collector epoch.
 struct TraceSpan {
     Phase phase = Phase::kStepping;
-    std::uint32_t tid = 0;
     std::uint64_t begin_ns = 0;
     std::uint64_t end_ns = 0;
 };
@@ -197,14 +181,13 @@ private:
 struct RunTelemetry {
     /// Schema version of the exported forms (chrome trace metadata,
     /// prometheus HELP text, JsonlTraceWriter's "telemetry" event).
-    static constexpr int kSchemaVersion = 1;
+    static constexpr int kSchemaVersion = 2;
 
     /// True iff probes were compiled in AND a collector was attached.
     bool enabled = false;
 
     std::string engine;  ///< observed_engine_name of the executing engine
     std::uint64_t population = 0;
-    unsigned threads = 1;
 
     std::uint64_t wall_ns = 0;
     std::uint64_t interactions = 0;
@@ -212,11 +195,6 @@ struct RunTelemetry {
 
     /// Indexed by Phase.  kStepping is derived (see Phase).
     std::array<PhaseStat, kNumPhases> phases{};
-
-    /// One slot per thread-pool task (== shard); empty for serial engines.
-    std::vector<ShardStat> shards;
-    std::uint64_t pool_rounds = 0;     ///< super-steps dispatched via the pool
-    std::uint64_t inline_rounds = 0;   ///< sub-threshold rounds run inline
 
     // Super-step engine accounting.
     std::uint64_t super_steps = 0;
@@ -248,53 +226,8 @@ struct RunTelemetry {
     std::vector<CounterSnapshot> counters;
     std::vector<HistogramSnapshot> histograms;
 
-    /// Human-readable multi-line summary (phase table + shard table).
+    /// Human-readable multi-line summary (phase table + accounting).
     std::string to_string() const;
-};
-
-// ---------------------------------------------------------------------------
-// PoolTelemetry: what the ThreadPool records
-
-/// Shared state between a ThreadPool and the collector that owns it.  The
-/// pool's drain loop stamps per-task begin/end times into the round scratch
-/// (disjoint slots, one writer each); ThreadPool::run folds them into
-/// `shards` and the span log after the round barrier, on the caller thread,
-/// so no synchronization beyond the barrier is needed.
-class PoolTelemetry {
-public:
-    /// Sizes the per-task slots; call before the first instrumented round.
-    void configure(std::size_t tasks, std::chrono::steady_clock::time_point epoch,
-                   std::size_t max_spans);
-
-    std::uint64_t now_ns() const {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - epoch_)
-                .count());
-    }
-
-    std::size_t tasks() const { return shards.size(); }
-
-    /// Called by the task executor (worker or caller thread) around task i.
-    void stamp_begin(std::size_t task) { round_begin_[task] = now_ns(); }
-    void stamp_end(std::size_t task) { round_end_[task] = now_ns(); }
-
-    /// Folds the finished round into the aggregates (caller thread, after
-    /// the barrier).  `executed` is the number of tasks of the round.
-    void fold_round(std::uint64_t round_begin_ns, std::uint64_t round_end_ns,
-                    std::size_t executed);
-
-    std::vector<ShardStat> shards;
-    std::uint64_t rounds = 0;
-    std::uint64_t rounds_ns = 0;
-    std::vector<TraceSpan> spans;
-    std::uint64_t spans_dropped = 0;
-
-private:
-    std::chrono::steady_clock::time_point epoch_{};
-    std::size_t max_spans_ = 0;
-    std::vector<std::uint64_t> round_begin_;
-    std::vector<std::uint64_t> round_end_;
 };
 
 // ---------------------------------------------------------------------------
@@ -320,7 +253,7 @@ public:
 
     // --- probes (no-ops when !kCompiledIn) --------------------------------
 
-    void begin_run(const char* engine, std::uint64_t population, unsigned threads);
+    void begin_run(const char* engine, std::uint64_t population);
     void finish_run(std::uint64_t interactions, std::uint64_t effective_interactions);
 
     /// Adaptive-run scope (simulate_adaptive).  The driver brackets the
@@ -332,13 +265,11 @@ public:
     /// finalizing.  `start_interactions` is the resume point (nonzero when
     /// the adaptive run itself resumed from a checkpoint), so segment
     /// interaction attribution stays exact across suspends.
-    void begin_adaptive_run(std::uint64_t population, unsigned threads,
-                            std::uint64_t start_interactions);
+    void begin_adaptive_run(std::uint64_t population, std::uint64_t start_interactions);
     void finish_adaptive_run(std::uint64_t interactions,
                              std::uint64_t effective_interactions);
 
-    void record_phase(Phase phase, std::uint64_t begin_ns, std::uint64_t end_ns,
-                      std::uint32_t tid = 0);
+    void record_phase(Phase phase, std::uint64_t begin_ns, std::uint64_t end_ns);
 
     /// One geometric null-skip proposal of `length` executed interactions.
     void record_skip(std::uint64_t length);
@@ -346,13 +277,6 @@ public:
     /// One super-step of `pairs` collision-free pairs; `clamped` when the
     /// kernel cut the proposed run at a boundary (no colliding interaction).
     void record_super_step(std::uint64_t pairs, bool clamped);
-
-    /// One sub-threshold parallel-stepper round executed inline (no pool
-    /// dispatch; see ParallelCollapsedStepper::kMinPairsPerWorker).
-    void record_inline_round() {
-        if constexpr (!kCompiledIn) return;
-        ++data_->inline_rounds;
-    }
 
     /// Publishes the loop's interaction counter for concurrent polling.
     void publish_interactions(std::uint64_t interactions) {
@@ -372,14 +296,6 @@ public:
 
     // --- post-run API ------------------------------------------------------
 
-    /// The pool telemetry handed to a ThreadPool (shards sized on demand by
-    /// the parallel stepper).
-    PoolTelemetry& pool() { return pool_; }
-
-    /// Epoch for external span stampers (the ThreadPool via PoolTelemetry).
-    std::chrono::steady_clock::time_point epoch() const { return epoch_; }
-    std::size_t max_spans() const { return max_spans_; }
-
     TelemetryRegistry& registry() { return registry_; }
 
     /// The finished telemetry (valid after finish_run; begin_run resets it).
@@ -397,7 +313,6 @@ private:
     std::shared_ptr<RunTelemetry> data_;
     std::atomic<std::uint64_t> live_interactions_{0};
     TelemetryRegistry registry_;
-    PoolTelemetry pool_;
     bool running_ = false;
     // Adaptive-run scope state (see begin_adaptive_run).
     bool adaptive_scope_ = false;
@@ -411,13 +326,13 @@ private:
 /// false it performs no clock reads at all.
 class ScopedTimer {
 public:
-    ScopedTimer(RunTelemetryCollector* collector, Phase phase, std::uint32_t tid = 0)
-        : collector_(kCompiledIn ? collector : nullptr), phase_(phase), tid_(tid) {
+    ScopedTimer(RunTelemetryCollector* collector, Phase phase)
+        : collector_(kCompiledIn ? collector : nullptr), phase_(phase) {
         if (collector_ != nullptr) begin_ns_ = collector_->now_ns();
     }
     ~ScopedTimer() {
         if (collector_ != nullptr)
-            collector_->record_phase(phase_, begin_ns_, collector_->now_ns(), tid_);
+            collector_->record_phase(phase_, begin_ns_, collector_->now_ns());
     }
     ScopedTimer(const ScopedTimer&) = delete;
     ScopedTimer& operator=(const ScopedTimer&) = delete;
@@ -425,7 +340,6 @@ public:
 private:
     RunTelemetryCollector* const collector_;
     const Phase phase_;
-    const std::uint32_t tid_;
     std::uint64_t begin_ns_ = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 #include <tuple>
 
 #include "analysis/stable_computation.h"
@@ -37,6 +38,19 @@ struct ThresholdCase {
     std::uint64_t max_population;
 };
 
+/// Prints "a=1,-1" for the coefficient vector. gtest would otherwise dump
+/// the case's raw bytes, heap pointers included, and the CTest names that
+/// gtest_discover_tests derives from that dump would change on every build.
+void print_coefficients(const std::vector<std::int64_t>& coefficients, std::ostream* os) {
+    *os << "a=";
+    for (std::size_t i = 0; i < coefficients.size(); ++i) *os << (i ? "," : "") << coefficients[i];
+}
+
+void PrintTo(const ThresholdCase& test_case, std::ostream* os) {
+    print_coefficients(test_case.coefficients, os);
+    *os << " c=" << test_case.constant << " n=" << test_case.max_population;
+}
+
 class ThresholdProtocolSweep : public ::testing::TestWithParam<ThresholdCase> {};
 
 TEST_P(ThresholdProtocolSweep, StablyComputesFormula) {
@@ -61,6 +75,12 @@ struct RemainderCase {
     std::int64_t modulus;
     std::uint64_t max_population;
 };
+
+void PrintTo(const RemainderCase& test_case, std::ostream* os) {
+    print_coefficients(test_case.coefficients, os);
+    *os << " r=" << test_case.remainder << " m=" << test_case.modulus
+        << " n=" << test_case.max_population;
+}
 
 class RemainderProtocolSweep : public ::testing::TestWithParam<RemainderCase> {};
 

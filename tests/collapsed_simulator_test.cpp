@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,6 +31,7 @@
 #include "core/collapsed_simulator.h"
 #include "core/observer.h"
 #include "core/run_loop.h"
+#include "core/simd.h"
 #include "core/simulator.h"
 #include "observe/trace_recorder.h"
 #include "presburger/atom_protocols.h"
@@ -45,7 +47,7 @@ using testutil::ChiSquareResult;
 
 // ---------------------------------------------------------------------------
 // Exact k-step distribution of the uniform ordered-pair chain
-// (testutil::exact_chain_distribution, shared with parallel_collapsed_test)
+// (testutil::exact_chain_distribution)
 
 using CountVector = std::vector<std::uint64_t>;
 using Distribution = std::map<CountVector, double>;
@@ -200,6 +202,50 @@ TEST(CollapsedCheckpointResume, BitIdenticalAgainstCheckpointedBaseline) {
     }
 }
 
+TEST(CollapsedCheckpointResume, ResumesAVersionOneCheckpointBitIdentically) {
+    // A version-1 checkpoint spilled by an earlier build of the collapsed
+    // engine: the cut at interaction 196 of the run below.  Resuming it
+    // must replay the rest of that run exactly, so checkpoints written by
+    // older builds keep their meaning.
+    const std::string v1_text =
+        "popproto-checkpoint v1\n"
+        "engine collapsed\n"
+        "population 64\n"
+        "num_states 4\n"
+        "rng 5202776245443608303 16377158582312865794 7359317428617866804 "
+        "15205119416108760729\n"
+        "interactions 196\n"
+        "effective 1\n"
+        "last_output_change 0\n"
+        "next_silence_check 1024\n"
+        "changed_since_check 1\n"
+        "pending_skip 0 0\n"
+        "counts 4 58 5 1 0\n"
+        "end\n";
+    const auto protocol = make_counting_protocol(3);
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {57, 7});
+    RunOptions options;
+    options.seed = 11;
+    options.max_interactions = 600;
+    CollectingSink sink;
+    options.checkpoint_every = 7;
+    options.checkpoint_sink = &sink;
+    const RunResult baseline = simulate_collapsed(*protocol, initial, options);
+
+    const RunCheckpoint checkpoint = checkpoint_from_string(v1_text);
+    ASSERT_EQ(std::count(sink.checkpoints.begin(), sink.checkpoints.end(), checkpoint), 1);
+    RunOptions resumed = options;
+    resumed.resume_from = &checkpoint;
+    const RunResult result = simulate_collapsed(*protocol, initial, resumed);
+    expect_same_run(result, baseline);
+    // The values the writing build reported for the uninterrupted run.
+    EXPECT_EQ(result.stop_reason, StopReason::kSilent);
+    EXPECT_EQ(result.interactions, 385u);
+    EXPECT_EQ(result.effective_interactions, 64u);
+    EXPECT_EQ(result.last_output_change, 385u);
+    EXPECT_EQ(result.final_configuration.counts(), (CountVector{0, 0, 0, 64}));
+}
+
 TEST(CollapsedCheckpointResume, RejectsForeignCheckpoints) {
     const auto protocol = make_counting_protocol(2);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {10, 2});
@@ -273,6 +319,40 @@ TEST(CollapsedSimulator, EngineNameRoundTrips) {
     ObservedEngine parsed = ObservedEngine::kAgentArray;
     ASSERT_TRUE(observed_engine_from_name("collapsed", parsed));
     EXPECT_EQ(parsed, ObservedEngine::kCollapsed);
+}
+
+// ---------------------------------------------------------------------------
+// SIMD kernels (core/simd.h) behind the super-step delta, the W recount, and
+// the hypergeometric log-pmf: exact against their scalar definitions
+
+TEST(SimdKernels, AddSubSubMatchesScalar) {
+    // Odd length exercises the scalar tail after the vector loop; the
+    // "underflowing" intermediate (add < sub1 + sub2 element-wise for some
+    // entries) must wrap back exactly.
+    const std::vector<std::uint64_t> add = {5, 0, 7, 100, 2, 9, 1};
+    const std::vector<std::uint64_t> sub1 = {1, 0, 9, 50, 0, 3, 0};
+    const std::vector<std::uint64_t> sub2 = {2, 0, 1, 50, 1, 6, 1};
+    std::vector<std::uint64_t> dst = {10, 20, 30, 40, 50, 60, 70};
+    std::vector<std::uint64_t> expected = dst;
+    for (std::size_t i = 0; i < dst.size(); ++i) expected[i] += add[i] - sub1[i] - sub2[i];
+    simd::add_sub_sub(dst.data(), add.data(), sub1.data(), sub2.data(), dst.size());
+    EXPECT_EQ(dst, expected);
+}
+
+TEST(SimdKernels, MaskedSumMatchesScalar) {
+    const std::vector<std::uint8_t> mask = {1, 0, 1, 1, 0, 0, 1};
+    const std::vector<std::uint64_t> values = {4, 100, 6, 1, 200, 300, 9};
+    EXPECT_EQ(simd::masked_sum(mask.data(), values.data(), values.size()), 4u + 6 + 1 + 9);
+    EXPECT_EQ(simd::masked_sum(mask.data(), values.data(), 0), 0u);
+}
+
+TEST(SimdKernels, Sum4MinusSum4MatchesScalarAssociation) {
+    const double plus[4] = {1.5, 2.25, -3.0, 4.125};
+    const double minus[4] = {0.5, 1.0, 2.0, -1.25};
+    const double expected = ((plus[0] - minus[0]) + (plus[1] - minus[1])) +
+                            ((plus[2] - minus[2]) + (plus[3] - minus[3]));
+    // Bit-identical, not just close: both paths use the same association.
+    EXPECT_EQ(simd::sum4_minus_sum4(plus, minus), expected);
 }
 
 // ---------------------------------------------------------------------------

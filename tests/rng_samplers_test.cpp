@@ -190,102 +190,5 @@ TEST(RngSamplers, SaveRestoreReplaysExactly) {
     EXPECT_EQ(first, second);
 }
 
-// ---------------------------------------------------------------------------
-// jump / split: the stream-partitioning substrate of the parallel collapsed
-// engine (K successive splits = K pairwise-disjoint 2^128-draw blocks).
-
-TEST(RngJump, IsDeterministicAndMovesTheStream) {
-    Rng jumped(42);
-    Rng jumped_again(42);
-    Rng stayed(42);
-    jumped.jump();
-    jumped_again.jump();
-    // Same seed + jump lands on the same position...
-    EXPECT_EQ(jumped.save_state(), jumped_again.save_state());
-    for (int i = 0; i < 64; ++i) EXPECT_EQ(jumped(), jumped_again());
-    // ...which is a different position than the unjumped stream.
-    EXPECT_NE(jumped.save_state(), stayed.save_state());
-    bool any_difference = false;
-    for (int i = 0; i < 64; ++i) any_difference |= (jumped() != stayed());
-    EXPECT_TRUE(any_difference);
-}
-
-TEST(RngSplit, ChildContinuesTheParentStreamAndParentJumpsPast) {
-    // split() hands the child the parent's current position and jumps the
-    // parent 2^128 ahead: the child replays exactly what the unsplit parent
-    // would have produced, and the parent equals a jumped copy.
-    Rng parent(7);
-    Rng unsplit(7);
-    Rng jumped(7);
-    jumped.jump();
-    Rng child = parent.split();
-    for (int i = 0; i < 256; ++i) EXPECT_EQ(child(), unsplit());
-    EXPECT_EQ(parent.save_state(), jumped.save_state());
-}
-
-TEST(RngSplit, SuccessiveSplitsAreDistinctAndOrderDeterministic) {
-    Rng parent_a(99);
-    Rng parent_b(99);
-    std::vector<Rng> children_a;
-    std::vector<Rng> children_b;
-    for (int k = 0; k < 4; ++k) {
-        children_a.push_back(parent_a.split());
-        children_b.push_back(parent_b.split());
-    }
-    for (int k = 0; k < 4; ++k) {
-        // Deterministic in (parent state, split order)...
-        EXPECT_EQ(children_a[k].save_state(), children_b[k].save_state());
-        // ...and each child starts a distinct block.
-        for (int j = k + 1; j < 4; ++j)
-            EXPECT_NE(children_a[k].save_state(), children_a[j].save_state());
-    }
-}
-
-TEST(RngSplit, ChildStreamsSaveAndRestoreLikeAnyRng) {
-    // Checkpoints of the parallel engine carry shard (= child) streams;
-    // a restored child must replay interleaved sampler draws bit for bit.
-    Rng parent(2024);
-    parent.split();  // discard one block so the child below is mid-sequence
-    Rng child = parent.split();
-    child.binomial(91, 0.77);  // advance to an arbitrary position
-    const Rng::StreamState cut = child.save_state();
-
-    std::vector<std::uint64_t> first;
-    for (int i = 0; i < 40; ++i) {
-        first.push_back(child());
-        first.push_back(child.hypergeometric(33, 21, 17));
-        first.push_back(child.binomial(64, 0.5));
-    }
-
-    Rng fresh(1);  // restore into an unrelated generator
-    fresh.restore_state(cut);
-    std::vector<std::uint64_t> second;
-    for (int i = 0; i < 40; ++i) {
-        second.push_back(fresh());
-        second.push_back(fresh.hypergeometric(33, 21, 17));
-        second.push_back(fresh.binomial(64, 0.5));
-    }
-    EXPECT_EQ(first, second);
-}
-
-TEST(RngSplit, InterleavedChildDrawsStayUniform) {
-    // Round-robin over 4 sibling child streams and chi-square the low six
-    // bits of each draw: a broken jump polynomial (overlapping or
-    // correlated blocks) skews this wildly, a correct one is uniform over
-    // the 64 buckets.
-    Rng parent(31337);
-    std::vector<Rng> children;
-    for (int k = 0; k < 4; ++k) children.push_back(parent.split());
-
-    constexpr std::uint64_t kPerChild = 10000;
-    std::vector<std::uint64_t> buckets(64, 0);
-    for (std::uint64_t i = 0; i < kPerChild; ++i)
-        for (Rng& child : children) ++buckets[child() % 64];
-
-    const std::vector<double> uniform(64, 1.0 / 64.0);
-    const ChiSquareResult gof = chi_square_gof(buckets, uniform, 4 * kPerChild);
-    EXPECT_TRUE(gof.pass) << gof.summary();
-}
-
 }  // namespace
 }  // namespace popproto

@@ -155,6 +155,24 @@ TEST(RunCheckpointIO, RejectsMalformedInputWithLineAndToken) {
     trailing.insert(interactions_end, " 99");
     EXPECT_EQ(parse_error_message(trailing),
               "read_checkpoint: line 6: unexpected trailing token '99'");
+
+    // Checkpoints of the removed intra-run sharding are refused by name:
+    // its engine tag, and the per-shard stream line it wrote.
+    std::string sharded_engine = text;
+    const std::size_t tag_at = sharded_engine.find("engine agent_array");
+    ASSERT_NE(tag_at, std::string::npos);
+    sharded_engine.replace(tag_at, std::string("engine agent_array").size(),
+                           "engine parallel_collapsed");
+    EXPECT_EQ(parse_error_message(sharded_engine),
+              "read_checkpoint: line 2: engine 'parallel_collapsed' was removed with "
+              "intra-run sharding; single runs are serial");
+    std::string shard_streams = text;
+    const std::size_t counts_at = shard_streams.find("counts ");
+    ASSERT_NE(counts_at, std::string::npos);
+    shard_streams.insert(counts_at, "shard_rngs 1 1 2 3 4\n");
+    EXPECT_EQ(parse_error_message(shard_streams),
+              "read_checkpoint: line 12: 'shard_rngs' was removed with intra-run sharding; "
+              "single runs are serial");
 }
 
 TEST(RunCheckpointIO, AtomicWriteFailurePathNamesTheFile) {

@@ -22,6 +22,7 @@
 #include "core/run_loop.h"
 #include "core/simulator.h"
 #include "service/checkpoint_store.h"
+#include "service/json.h"
 #include "service/registry.h"
 #include "service/scheduler.h"
 #include "service/session.h"
@@ -472,6 +473,66 @@ TEST(RunRegistryTest, CancelIsTerminalAndIdempotentWhereMeaningful) {
     registry.cancel(id);  // cancelling a cancelled session stays cancelled
     EXPECT_THROW(registry.resume(id), std::invalid_argument);
     EXPECT_THROW(registry.suspend(id), std::invalid_argument);
+    std::filesystem::remove_all(options.spill_dir);
+}
+
+TEST(RunRegistryTest, QueueDepthIsQueuedPlusRunningThroughTheLifecycle) {
+    // stats' queue_depth (the max_queued admission backlog) must equal the
+    // queued + running counts stats reports beside it, after every kind of
+    // state change — including once sessions settle into terminal states,
+    // which the registry keeps but which never count against the bound.
+    RegistryOptions options;
+    options.workers = 1;
+    options.max_resident_suspended = 0;  // every suspend spills: suspend == evict
+    options.spill_dir = fresh_dir("popproto_registry_queue_depth");
+    RunRegistry registry(options);
+
+    const auto queue_depth = [&](const char* step) {
+        SCOPED_TRACE(step);
+        const JsonValue stats = parse_json(registry.stats_json());
+        const JsonValue* sessions = stats.find("sessions");
+        EXPECT_NE(sessions, nullptr);
+        if (sessions == nullptr) return std::uint64_t{0};
+        const std::uint64_t depth = stats.find("queue_depth")->as_u64("queue_depth");
+        EXPECT_EQ(depth, sessions->find("queued")->as_u64("queued") +
+                             sessions->find("running")->as_u64("running"));
+        return depth;
+    };
+
+    // Two long sessions exercise suspend/evict/resume/cancel mid-run; the
+    // tiny one behind them runs to completion once they are cancelled.
+    const std::string first = registry.submit(long_running_spec());
+    const std::string second = registry.submit(long_running_spec());
+    SessionSpec tiny;
+    tiny.protocol = "epidemic";
+    tiny.counts = {63, 1};
+    tiny.engine = "agent";
+    const std::string third = registry.submit(tiny);
+    EXPECT_GE(queue_depth("submit"), 1u);
+
+    wait_for(registry, first, [](const SessionStatus& s) { return s.quanta >= 1; });
+    queue_depth("run");
+
+    registry.suspend(second);
+    queue_depth("suspend");
+    const SessionStatus evicted = wait_for(registry, second, [](const SessionStatus& s) {
+        return s.state == SessionState::kEvicted || is_terminal(s);
+    });
+    EXPECT_EQ(evicted.state, SessionState::kEvicted);
+    queue_depth("evict");
+
+    registry.resume(second);
+    queue_depth("resume");
+
+    registry.cancel(first);
+    registry.cancel(second);
+    wait_for(registry, first, is_terminal);
+    wait_for(registry, second, is_terminal);
+    queue_depth("cancel");
+
+    registry.wait_idle();
+    EXPECT_EQ(registry.status(third).state, SessionState::kDone);
+    EXPECT_EQ(queue_depth("completion"), 0u);
     std::filesystem::remove_all(options.spill_dir);
 }
 

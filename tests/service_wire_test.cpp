@@ -126,6 +126,16 @@ TEST(Wire, SessionSpecParsesAndValidates) {
     expect_rejected("{\"counts\":[]}", "counts");
     expect_rejected("{\"counts\":[10,2],\"weight\":0}", "weight");
     expect_rejected("{\"counts\":[10,2],\"seed\":\"x\"}", "seed");
+    expect_rejected("{\"counts\":[10,2],\"threads\":2}", "removed with intra-run sharding");
+
+    // Manifests written while intra-run sharding existed carry "threads": 1
+    // (or 0 = auto); they still load, and the field is not written back.
+    for (const char* threads : {"0", "1"}) {
+        const SessionSpec legacy = parse_session_spec(parse_json(
+            std::string("{\"counts\":[10,2],\"threads\":") + threads + "}"));
+        EXPECT_EQ(legacy.counts, (std::vector<std::uint64_t>{10, 2}));
+        EXPECT_EQ(session_spec_to_json(legacy).to_string().find("threads"), std::string::npos);
+    }
 }
 
 TEST(Wire, ScenarioModelSpecsRoundTripAndValidate) {
@@ -161,7 +171,8 @@ TEST(Wire, ScenarioModelSpecsRoundTripAndValidate) {
     expect_rejected("{\"counts\":[10,2],\"model\":\"teleport\"}", "unknown model");
     expect_rejected("{\"counts\":[10,2],\"model\":\"sweep\",\"engine\":\"batch\"}",
                     "engine");
-    expect_rejected("{\"counts\":[10,2],\"model\":\"sweep\",\"threads\":4}", "threads");
+    expect_rejected("{\"counts\":[10,2],\"model\":\"sweep\",\"threads\":4}",
+                    "removed with intra-run sharding");
     expect_rejected("{\"counts\":[10,2],\"model\":\"dynamic_graph\"}", "phases");
 }
 
@@ -239,6 +250,11 @@ TEST(Wire, DispatchesCommandsAgainstARegistry) {
     EXPECT_NE(unknown.find("unknown command \\\"warp\\\""), std::string::npos) << unknown;
     const std::string bad_submit = dispatch("{\"cmd\":\"submit\",\"counts\":[1]}");
     EXPECT_EQ(bad_submit.rfind("{\"ok\":false,", 0), 0u) << bad_submit;
+    const std::string sharded_submit = dispatch(
+        "{\"cmd\":\"submit\",\"counts\":[63,1],\"engine\":\"collapsed\",\"threads\":4}");
+    EXPECT_EQ(sharded_submit.rfind("{\"ok\":false,", 0), 0u) << sharded_submit;
+    EXPECT_NE(sharded_submit.find("removed with intra-run sharding"), std::string::npos)
+        << sharded_submit;
 
     // Transport-level commands are not dispatched here.
     EXPECT_FALSE(dispatch_request(registry, parse_request("{\"cmd\":\"subscribe\"}")));

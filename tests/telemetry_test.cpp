@@ -3,7 +3,7 @@
 //
 // The load-bearing test is non-perturbation: a run with a collector
 // attached must be bit-identical (same interactions, same RunResult
-// counts) to one without, on every engine and for every thread count —
+// counts) to one without, on every engine —
 // telemetry reads clocks and counters but never the RNG stream or the
 // configuration.  The exporter tests hold the Chrome trace to well-formed
 // JSON with properly nested spans and the Prometheus exposition to the
@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -144,7 +143,6 @@ TEST(Telemetry, DoesNotPerturbAgentArray) {
     EXPECT_TRUE(result.telemetry->enabled);
     EXPECT_EQ(result.telemetry->engine, "agent_array");
     EXPECT_EQ(result.telemetry->population, 64u);
-    EXPECT_EQ(result.telemetry->threads, 1u);
     EXPECT_EQ(result.telemetry->interactions, result.interactions);
     EXPECT_GT(result.telemetry->wall_ns, 0u);
     // Per-interaction engines report their stepping as the derived phase.
@@ -243,78 +241,31 @@ TEST(Telemetry, DoesNotPerturbGraphEngine) {
     EXPECT_EQ(collector.telemetry().engine, "graph");
 }
 
-TEST(Telemetry, DoesNotPerturbCollapsedEngineAcrossThreadCounts) {
+TEST(Telemetry, DoesNotPerturbCollapsedEngine) {
     const auto protocol = make_epidemic_protocol();
     const auto initial = CountConfiguration::from_input_counts(*protocol, {4000, 96});
-    for (const unsigned threads : {1u, 2u, 4u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        RunOptions plain = base_options(default_budget(4096), 36);
-        plain.threads = threads;
-        const RunResult unobserved = simulate_collapsed(*protocol, initial, plain);
-
-        RunTelemetryCollector collector;
-        RunOptions instrumented = plain;
-        instrumented.telemetry = &collector;
-        const RunResult result = simulate_collapsed(*protocol, initial, instrumented);
-
-        EXPECT_TRUE(results_equal(result, unobserved));
-        if (!telemetry::kCompiledIn) continue;
-        const RunTelemetry& data = *result.telemetry;
-        EXPECT_EQ(data.engine, threads > 1 ? "parallel_collapsed" : "collapsed");
-        EXPECT_EQ(data.threads, threads);
-        EXPECT_GT(data.super_steps, 0u);
-        // Super-step bookkeeping reconciles with the run totals: each
-        // non-clamped super-step contributes its pairs plus one colliding
-        // interaction, each clamped one only its pairs.
-        EXPECT_EQ(data.super_step_pairs + (data.super_steps - data.clamped_super_steps),
-                  data.interactions);
-        EXPECT_GT(phase_calls(data, Phase::kRunLengthDraw), 0u);
-        EXPECT_EQ(phase_calls(data, Phase::kSuperStepApply), data.super_steps);
-        EXPECT_GT(phase_calls(data, Phase::kWRecompute), 0u);
-        if (threads > 1) {
-            // The sharded stepper does its cascades inside the shard tasks
-            // (kShardTask worker spans); the driving thread times the carve
-            // and the fan-out section instead.  At this population most
-            // rounds fall under the inline threshold, so only the round
-            // split — not pooled dispatch — is guaranteed.
-            EXPECT_GT(phase_calls(data, Phase::kShardCarve), 0u);
-            EXPECT_GT(phase_calls(data, Phase::kShardTasks), 0u);
-            EXPECT_EQ(data.shards.size(), threads);
-            EXPECT_EQ(data.pool_rounds + data.inline_rounds, data.super_steps);
-        } else {
-            EXPECT_GT(phase_calls(data, Phase::kPairCascade), 0u);
-        }
-    }
-}
-
-TEST(Telemetry, ShardUtilizationPopulatedOncePoolEngages) {
-    // Pooled dispatch needs super-steps of >= kMinPairsPerWorker * K pairs
-    // (~0.63 sqrt(n) per step), so use a population large enough that the
-    // pool actually engages: n = 2^16, K = 2 gives ~161-pair steps against
-    // a 128-pair threshold.
-    if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
-    const auto protocol = make_epidemic_protocol();
-    const auto initial =
-        CountConfiguration::from_input_counts(*protocol, {(1u << 16) - 1, 1});
-    RunOptions options = base_options(0, 37);  // 0 = default budget for n
-    options.threads = 2;
+    const RunOptions plain = base_options(default_budget(4096), 36);
+    const RunResult unobserved = simulate_collapsed(*protocol, initial, plain);
 
     RunTelemetryCollector collector;
-    options.telemetry = &collector;
-    simulate_collapsed(*protocol, initial, options);
+    RunOptions instrumented = plain;
+    instrumented.telemetry = &collector;
+    const RunResult result = simulate_collapsed(*protocol, initial, instrumented);
 
-    const RunTelemetry& data = collector.telemetry();
-    ASSERT_EQ(data.shards.size(), 2u);
-    EXPECT_GT(data.pool_rounds, 0u);
-    for (std::size_t k = 0; k < data.shards.size(); ++k) {
-        SCOPED_TRACE("shard " + std::to_string(k));
-        EXPECT_EQ(data.shards[k].tasks, data.pool_rounds);
-        EXPECT_GT(data.shards[k].busy_ns, 0u);
-        // busy + wait = K * (summed round wall) by construction, so each
-        // shard's busy share is bounded by the total round time.
-        EXPECT_LE(data.shards[k].busy_ns, data.shards[k].busy_ns + data.shards[k].wait_ns);
-    }
-    EXPECT_GT(phase_calls(data, Phase::kShardTasks), 0u);
+    EXPECT_TRUE(results_equal(result, unobserved));
+    if (!telemetry::kCompiledIn) return;
+    const RunTelemetry& data = *result.telemetry;
+    EXPECT_EQ(data.engine, "collapsed");
+    EXPECT_GT(data.super_steps, 0u);
+    // Super-step bookkeeping reconciles with the run totals: each
+    // non-clamped super-step contributes its pairs plus one colliding
+    // interaction, each clamped one only its pairs.
+    EXPECT_EQ(data.super_step_pairs + (data.super_steps - data.clamped_super_steps),
+              data.interactions);
+    EXPECT_GT(phase_calls(data, Phase::kRunLengthDraw), 0u);
+    EXPECT_EQ(phase_calls(data, Phase::kSuperStepApply), data.super_steps);
+    EXPECT_GT(phase_calls(data, Phase::kWRecompute), 0u);
+    EXPECT_GT(phase_calls(data, Phase::kPairCascade), 0u);
 }
 
 TEST(Telemetry, CollectorIsReusableAcrossRuns) {
@@ -354,13 +305,12 @@ TEST(Telemetry, MeasureTrialsRejectsASharedCollector) {
 
 // --- Chrome trace exporter -----------------------------------------------
 
-/// Runs a collapsed threads=2 run and returns its telemetry (shared
-/// fixture for the exporter tests).
+/// Runs a collapsed run and returns its telemetry (shared fixture for the
+/// exporter tests).
 std::shared_ptr<const RunTelemetry> instrumented_collapsed_run() {
     const auto protocol = make_epidemic_protocol();
     const auto initial = CountConfiguration::from_input_counts(*protocol, {4000, 96});
     RunOptions options = base_options(default_budget(4096), 40);
-    options.threads = 2;
     RunTelemetryCollector collector;
     options.telemetry = &collector;
     return simulate_collapsed(*protocol, initial, options).telemetry;
@@ -387,26 +337,21 @@ TEST(ChromeTrace, EmitsValidJsonWithNestedSpans) {
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"super_step_apply\""), std::string::npos);
 
-    // Spans nest properly per thread: any two either don't overlap or one
-    // contains the other (this is what makes the flame graph render as a
-    // stack — a half-overlap means a probe closed out of order).
-    std::map<std::uint32_t, std::vector<const telemetry::TraceSpan*>> by_tid;
-    for (const telemetry::TraceSpan& span : data->spans) {
-        EXPECT_LE(span.begin_ns, span.end_ns);
-        by_tid[span.tid].push_back(&span);
-    }
-    for (const auto& [tid, spans] : by_tid) {
-        for (std::size_t i = 0; i < spans.size(); ++i) {
-            for (std::size_t j = i + 1; j < spans.size(); ++j) {
-                const auto* a = spans[i];
-                const auto* b = spans[j];
-                const bool disjoint = a->end_ns <= b->begin_ns || b->end_ns <= a->begin_ns;
-                const bool a_in_b = b->begin_ns <= a->begin_ns && a->end_ns <= b->end_ns;
-                const bool b_in_a = a->begin_ns <= b->begin_ns && b->end_ns <= a->end_ns;
-                ASSERT_TRUE(disjoint || a_in_b || b_in_a)
-                    << "tid " << tid << ": span [" << a->begin_ns << ", " << a->end_ns
-                    << ") half-overlaps [" << b->begin_ns << ", " << b->end_ns << ")";
-            }
+    // Spans nest properly: any two either don't overlap or one contains
+    // the other (this is what makes the flame graph render as a stack — a
+    // half-overlap means a probe closed out of order).
+    const std::vector<telemetry::TraceSpan>& spans = data->spans;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        EXPECT_LE(spans[i].begin_ns, spans[i].end_ns);
+        for (std::size_t j = i + 1; j < spans.size(); ++j) {
+            const telemetry::TraceSpan& a = spans[i];
+            const telemetry::TraceSpan& b = spans[j];
+            const bool disjoint = a.end_ns <= b.begin_ns || b.end_ns <= a.begin_ns;
+            const bool a_in_b = b.begin_ns <= a.begin_ns && a.end_ns <= b.end_ns;
+            const bool b_in_a = a.begin_ns <= b.begin_ns && b.end_ns <= a.end_ns;
+            ASSERT_TRUE(disjoint || a_in_b || b_in_a)
+                << "span [" << a.begin_ns << ", " << a.end_ns << ") half-overlaps ["
+                << b.begin_ns << ", " << b.end_ns << ")";
         }
     }
 }
@@ -436,15 +381,11 @@ TEST(Prometheus, EmitsDocumentedMetricFamilies) {
 
     for (const char* needle : {
              "# TYPE popproto_run_info gauge",
-             "popproto_run_info{engine=\"parallel_collapsed\"",
+             "popproto_run_info{engine=\"collapsed\"",
              "popproto_run_wall_seconds",
              "# TYPE popproto_phase_seconds_total counter",
              "popproto_phase_seconds_total{phase=\"super_step_apply\"}",
              "popproto_phase_calls_total{phase=\"run_length_draw\"}",
-             "popproto_shard_busy_seconds_total{shard=\"0\"}",
-             "popproto_shard_wait_seconds_total{shard=\"1\"}",
-             "popproto_pool_rounds_total{path=\"pooled\"}",
-             "popproto_pool_rounds_total{path=\"inline\"}",
              "popproto_super_steps_total",
              "popproto_run_interactions_total",
          }) {

@@ -253,8 +253,7 @@ inline std::vector<std::int64_t> to_signed(const std::vector<std::uint64_t>& cou
 /// as a dynamic program over count vectors.  Feasible only for tiny
 /// populations; that is the point — the batching engines' collision and
 /// boundary-clamp paths dominate there, and their empirical distributions
-/// are held to this law by chi_square_gof (collapsed_simulator_test.cpp,
-/// parallel_collapsed_test.cpp).
+/// are held to this law by chi_square_gof (collapsed_simulator_test.cpp).
 inline std::map<std::vector<std::uint64_t>, double> exact_chain_distribution(
     const TabulatedProtocol& protocol, const std::vector<std::uint64_t>& initial,
     std::uint64_t steps) {
