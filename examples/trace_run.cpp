@@ -466,9 +466,6 @@ int main(int argc, char** argv) {
                 // the resume command must repeat them.
                 file_model = resume_checkpoint.interaction_model;
                 break;
-            case ObservedEngine::kScheduler:
-                usage_error("--resume: this checkpoint came from simulate_with_scheduler; "
-                            "resume it through that API");
         }
         if (!file_model.empty()) {
             if (!engine_name.empty())
@@ -506,10 +503,7 @@ int main(int argc, char** argv) {
                                                                                n / 4, 1));
     if (!resume_path.empty()) options.resume_from = &resume_checkpoint;
     options.adaptive = adaptive_tuning;
-    if (fluid_assist) {
-        options.fluid_assist = true;
-        options.fluid_hook = make_fluid_assist_hook();
-    }
+    if (fluid_assist) options.fluid_assist = make_fluid_assist_hook();
 
     std::unique_ptr<FileCheckpointSink> sink;
     if (!checkpoint_path.empty()) {

@@ -23,18 +23,22 @@
 #                                                 concurrent daemon sessions,
 #                                                 suspend/evict/resume and
 #                                                 SIGTERM drain bit-identity)
-#   6. bench/run_benches.sh --compare            (perf gate: bench_throughput,
+#   6. scripts/check.sh                          (asan+ubsan build + ctest)
+#   7. scripts/check.sh --tsan                   (ThreadSanitizer build over
+#                                                 the tests that run threads:
+#                                                 registry workers, wire
+#                                                 server, trial fan-out)
+#   8. bench/run_benches.sh --compare            (perf gate: bench_throughput,
 #                                                 bench_collapsed,
 #                                                 bench_observe — including
 #                                                 the telemetry overhead rows
 #                                                 — and bench_adaptive's 2^20
 #                                                 rows within 15% of the
 #                                                 committed release baselines)
-#   7. scripts/check.sh                          (asan+ubsan build + ctest)
-#   8. scripts/check.sh --tsan                   (ThreadSanitizer build over
-#                                                 the tests that run threads:
-#                                                 registry workers, wire
-#                                                 server, trial fan-out)
+#
+# The perf gate runs last: its verdict depends on the host the committed
+# baselines were recorded on, while every earlier stage is host-independent,
+# so a host mismatch there must not keep the sanitizer stages from running.
 #
 # Usage: scripts/ci.sh [build-dir]
 #   build-dir  defaults to <repo>/build; the sanitizer stages always use
@@ -138,13 +142,13 @@ echo "ci.sh: [5/8] service end-to-end smoke"
 # loses nothing (EXPERIMENTS.md quotes the printed throughput numbers).
 python3 "$ROOT/scripts/check_service.py" "$BUILD_DIR" --sessions 1000
 
-echo "ci.sh: [6/8] benchmark perf gate"
-"$ROOT/bench/run_benches.sh" --compare "$BUILD_DIR"
-
-echo "ci.sh: [7/8] sanitized suite"
+echo "ci.sh: [6/8] sanitized suite"
 "$ROOT/scripts/check.sh"
 
-echo "ci.sh: [8/8] data-race gate"
+echo "ci.sh: [7/8] data-race gate"
 "$ROOT/scripts/check.sh" --tsan
+
+echo "ci.sh: [8/8] benchmark perf gate"
+"$ROOT/bench/run_benches.sh" --compare "$BUILD_DIR"
 
 echo "ci.sh: all gates passed"

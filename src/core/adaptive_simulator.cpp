@@ -4,8 +4,7 @@
 #include <optional>
 #include <utility>
 
-#include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
+#include "core/adaptive_segments.h"
 #include "core/effective_pairs.h"
 #include "core/engine_monitor.h"
 #include "core/require.h"
@@ -90,11 +89,6 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
     require(n >= 2, "simulate_adaptive: need at least two agents");
     require(n < (std::uint64_t{1} << 32), "simulate_adaptive: population must fit 32 bits");
     require_engine_field(options, SimulationEngine::kAdaptive, "simulate_adaptive");
-    require(!options.fluid_assist || options.fluid_hook,
-            "simulate_adaptive: fluid_assist requires a fluid_hook "
-            "(make_fluid_assist_hook in meanfield/fluid_assist.h)");
-    require(options.switch_monitor == nullptr,
-            "simulate_adaptive: switch_monitor is internal driver plumbing; leave it null");
 
     const std::uint64_t budget = resolved_budget(options, n);
 
@@ -143,16 +137,16 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
         // simulation near the predicted sparse tail.
         if (options.fluid_assist && current == ObservedEngine::kCollapsed) {
             std::optional<RunCheckpoint> assist =
-                options.fluid_hook(protocol, initial, options);
+                options.fluid_assist(protocol, initial, options);
             if (assist.has_value()) {
                 require(assist->engine == ObservedEngine::kCountBatch ||
                             assist->engine == ObservedEngine::kCollapsed,
-                        "simulate_adaptive: fluid_hook must produce a count-engine "
+                        "simulate_adaptive: fluid_assist must produce a count-engine "
                         "checkpoint");
                 require(assist->population == n && assist->num_states == protocol.num_states(),
-                        "simulate_adaptive: fluid_hook checkpoint does not match the run");
+                        "simulate_adaptive: fluid_assist checkpoint does not match the run");
                 require(assist->interactions <= budget,
-                        "simulate_adaptive: fluid_hook fast-forwarded past the "
+                        "simulate_adaptive: fluid_assist fast-forwarded past the "
                         "interaction budget");
                 cursor = std::move(assist);
                 current = cursor->engine;
@@ -181,14 +175,11 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
                              : SimulationEngine::kCountBatch;
         segment.resume_from = cursor.has_value() ? &*cursor : nullptr;
         segment.checkpoint_sink = &sink;
-        segment.switch_monitor = &*monitor;
         segment.observer = segment_observer.has_value() ? &*segment_observer : nullptr;
-        segment.fluid_assist = false;
-        segment.fluid_hook = nullptr;
 
         result = current == ObservedEngine::kCollapsed
-                     ? simulate_collapsed(protocol, initial, segment)
-                     : simulate_counts(protocol, initial, segment);
+                     ? adaptive_detail::run_collapsed(protocol, initial, segment, &*monitor)
+                     : adaptive_detail::run_count_batch(protocol, initial, segment, &*monitor);
 
         // No pending switch: the segment ended the run for real (silence,
         // budget, stable outputs, or a user pause/stop) — finalize.

@@ -34,8 +34,8 @@
 // against a baseline running the same boundary schedule (see
 // tests/adaptive_simulator_test.cpp and collapsed_simulator_test.cpp).
 //
-// Optional mean-field fast-forward (RunOptions::fluid_assist +
-// RunOptions::fluid_hook, see meanfield/fluid_assist.h): a dense-entry run
+// Optional mean-field fast-forward (RunOptions::fluid_assist, built by
+// make_fluid_assist_hook in meanfield/fluid_assist.h): a dense-entry run
 // may first integrate the protocol's mean-field ODE to the predicted
 // sparse-tail entry, re-seed a stochastic configuration there, and only
 // then simulate.  Explicitly opt-in because it trades exactness for speed:

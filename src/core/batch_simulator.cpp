@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/adaptive_segments.h"
 #include "core/adaptive_simulator.h"
 #include "core/collapsed_simulator.h"
 #include "core/effect_tables.h"
@@ -124,8 +125,10 @@ private:
 
 }  // namespace
 
-RunResult simulate_counts(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                          const RunOptions& options) {
+RunResult adaptive_detail::run_count_batch(const TabulatedProtocol& protocol,
+                                           const CountConfiguration& initial,
+                                           const RunOptions& options,
+                                           EngineSwitchMonitor* monitor) {
     require(initial.num_states() == protocol.num_states(),
             "simulate_counts: configuration does not match protocol");
     const std::uint64_t n = initial.population_size();
@@ -134,7 +137,12 @@ RunResult simulate_counts(const TabulatedProtocol& protocol, const CountConfigur
     require_engine_field(options, SimulationEngine::kCountBatch, "simulate_counts");
 
     CountBatchStepper stepper(protocol, initial);
-    return run_loop(stepper, protocol, options, "simulate_counts");
+    return run_loop(stepper, protocol, options, "simulate_counts", monitor);
+}
+
+RunResult simulate_counts(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                          const RunOptions& options) {
+    return adaptive_detail::run_count_batch(protocol, initial, options, nullptr);
 }
 
 RunResult run_simulation(const TabulatedProtocol& protocol, const CountConfiguration& initial,

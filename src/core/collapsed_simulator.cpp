@@ -5,6 +5,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/adaptive_segments.h"
 #include "core/effect_tables.h"
 #include "core/require.h"
 #include "core/rng.h"
@@ -309,8 +310,10 @@ private:
 
 }  // namespace
 
-RunResult simulate_collapsed(const TabulatedProtocol& protocol,
-                             const CountConfiguration& initial, const RunOptions& options) {
+RunResult adaptive_detail::run_collapsed(const TabulatedProtocol& protocol,
+                                         const CountConfiguration& initial,
+                                         const RunOptions& options,
+                                         EngineSwitchMonitor* monitor) {
     require(initial.num_states() == protocol.num_states(),
             "simulate_collapsed: configuration does not match protocol");
     const std::uint64_t n = initial.population_size();
@@ -320,7 +323,12 @@ RunResult simulate_collapsed(const TabulatedProtocol& protocol,
 
     CollapsedStepper stepper(protocol, initial);
     stepper.set_telemetry(options.telemetry);
-    return run_loop(stepper, protocol, options, "simulate_collapsed");
+    return run_loop(stepper, protocol, options, "simulate_collapsed", monitor);
+}
+
+RunResult simulate_collapsed(const TabulatedProtocol& protocol,
+                             const CountConfiguration& initial, const RunOptions& options) {
+    return adaptive_detail::run_collapsed(protocol, initial, options, nullptr);
 }
 
 }  // namespace popproto

@@ -61,8 +61,8 @@ struct AdaptiveOptions {
     friend bool operator==(const AdaptiveOptions&, const AdaptiveOptions&) = default;
 };
 
-/// The monitor the adaptive driver (simulate_adaptive) plants into each
-/// engine segment via RunOptions::switch_monitor.  The run-loop kernel
+/// The monitor the adaptive driver (simulate_adaptive) hands to each engine
+/// segment's run_loop (core/adaptive_segments.h).  The run-loop kernel
 /// polls it at loop-top boundaries; when `consider` requests a switch the
 /// kernel captures a checkpoint-shaped state transfer and pauses, and the
 /// driver resumes it under the other engine.  Internal plumbing — not a

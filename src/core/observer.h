@@ -84,15 +84,14 @@ private:
 };
 
 /// Which execution path produced the events (simulate, simulate_counts,
-/// simulate_collapsed, simulate_weighted, simulate_on_graph, or
-/// simulate_with_scheduler).
+/// simulate_collapsed, simulate_weighted, simulate_on_graph, run_scenario,
+/// or simulate_adaptive).
 enum class ObservedEngine {
     kAgentArray,
     kCountBatch,
     kCollapsed,
     kWeighted,
     kGraph,
-    kScheduler,
     /// Scenario runs driven by a named InteractionModel (run_scenario:
     /// round-robin, sweep, adversarial, dynamic graph, grid mobility).  The
     /// checkpoint's interaction_model section disambiguates which model.

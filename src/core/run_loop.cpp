@@ -248,6 +248,10 @@ RunCheckpoint read_checkpoint(std::istream& in) {
     if (engine_name == "parallel_collapsed")
         parser.fail("engine 'parallel_collapsed' was removed with intra-run sharding; "
                     "single runs are serial");
+    if (engine_name == "scheduler")
+        parser.fail("engine 'scheduler' was removed with simulate_with_scheduler; "
+                    "run round-robin and sweep pairing through run_scenario "
+                    "(trace_run --model round_robin|sweep)");
     if (!observed_engine_from_name(engine_name, checkpoint.engine))
         parser.fail("unknown engine '" + engine_name + "'");
     parser.end_line();

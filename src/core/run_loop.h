@@ -5,12 +5,12 @@
 // uniform agent pairs (simulate), the count-based multiset sampler
 // (simulate_counts), the collapsed super-step sampler (simulate_collapsed),
 // weighted pairs (simulate_weighted), uniform edges on a restricted graph
-// (simulate_on_graph), and deterministic schedulers
-// (simulate_with_scheduler).  Everything those loops used to duplicate —
-// the interaction budget, the periodic silence check and its max(4n, 1024)
-// default, the stable-output window, observer dispatch, snapshot-boundary
-// clamping of geometric null skips, the budget-vs-silence race at expiry —
-// is policy, not sampling, and lives here exactly once.
+// (simulate_on_graph), and the named pairing models of run_scenario
+// (round-robin, sweep, adversarial, ...).  Everything those loops used to
+// duplicate — the interaction budget, the periodic silence check and its
+// max(4n, 1024) default, the stable-output window, observer dispatch,
+// snapshot-boundary clamping of geometric null skips, the budget-vs-silence
+// race at expiry — is policy, not sampling, and lives here exactly once.
 //
 // An engine contributes a *Stepper* (see the concept below): how to draw
 // and apply one interaction, how to test silence, and how to export /
@@ -80,7 +80,7 @@ bool multiset_silent(const TabulatedProtocol& protocol,
 
 /// Throws unless options.engine is kAuto or `accepted`; `entry_point` names
 /// the caller in the message.  Pass kAuto as `accepted` for engines that
-/// have no SimulationEngine value (weighted, graph, scheduler).
+/// have no SimulationEngine value (weighted, graph, scenario models).
 void require_engine_field(const RunOptions& options, SimulationEngine accepted,
                           const char* entry_point);
 
@@ -315,10 +315,13 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
 }  // namespace run_loop_detail
 
 /// Drives `stepper` under the full run policy and returns the result.
-/// `entry_point` names the public API for error messages.
+/// `entry_point` names the public API for error messages.  `switch_monitor`
+/// is the phase-adaptive dispatcher's per-segment monitor (simulate_adaptive
+/// passes it; every other caller leaves it null): the kernel polls it at
+/// loop boundaries and stamps its state into every checkpoint.
 template <Stepper S>
 RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptions& options,
-                   const char* entry_point) {
+                   const char* entry_point, EngineSwitchMonitor* switch_monitor = nullptr) {
     constexpr SilenceMode kMode = S::kSilenceMode;
     const std::string where(entry_point);
 
@@ -332,8 +335,8 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             where + ": checkpoint_every requires a checkpoint_sink");
     require(options.pause_after == 0 || options.checkpoint_sink != nullptr,
             where + ": pause_after requires a checkpoint_sink");
-    require(options.switch_monitor == nullptr || options.checkpoint_sink != nullptr,
-            where + ": switch_monitor requires a checkpoint_sink");
+    ensure(switch_monitor == nullptr || options.checkpoint_sink != nullptr,
+           where + ": a switch monitor requires a checkpoint_sink");
 
     Rng rng(options.seed);
     RunResult result{CountConfiguration(protocol.num_states()), StopReason::kBudget, 0, 0, 0,
@@ -410,11 +413,11 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         checkpoint.changed_since_silence_check = changed_since_check != 0;
         checkpoint.has_pending_skip = has_pending;
         checkpoint.pending_null_skips = pending;
-        if (options.switch_monitor != nullptr) {
+        if (switch_monitor != nullptr) {
             checkpoint.adaptive = true;
-            checkpoint.adaptive_switches = options.switch_monitor->switches();
-            checkpoint.adaptive_last_switch = options.switch_monitor->last_switch();
-            checkpoint.adaptive_next_eval = options.switch_monitor->next_eval();
+            checkpoint.adaptive_switches = switch_monitor->switches();
+            checkpoint.adaptive_last_switch = switch_monitor->last_switch();
+            checkpoint.adaptive_next_eval = switch_monitor->next_eval();
         }
         stepper.save(checkpoint);
         options.checkpoint_sink->on_checkpoint(checkpoint);
@@ -510,9 +513,9 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         if constexpr (requires(const S& s) {
                           { s.effective_pairs() } -> std::convertible_to<std::uint64_t>;
                       }) {
-            EngineSwitchMonitor* const monitor = options.switch_monitor;
-            if (monitor != nullptr && !has_pending_skip && monitor->due(result.interactions) &&
-                monitor->consider(result.interactions, stepper.effective_pairs())) {
+            if (switch_monitor != nullptr && !has_pending_skip &&
+                switch_monitor->due(result.interactions) &&
+                switch_monitor->consider(result.interactions, stepper.effective_pairs())) {
                 take_checkpoint(0, false);
                 paused = true;
                 break;

@@ -6,12 +6,13 @@
 // protocol that stably computes a predicate converges to the correct answer
 // along almost every run; the simulator additionally measures *when*.
 //
-// All engines (this file, batch_simulator.h, graphs/graph_simulation.h,
-// schedulers.h) share one run-loop kernel (core/run_loop.h) that owns every
-// piece of run policy: the interaction budget, the periodic silence check,
-// the stable-output window, observer dispatch, geometric-skip clamping at
-// snapshot boundaries, and deterministic checkpoint/resume.  The entry
-// points below only differ in how the next interaction is sampled.
+// All engines (this file, batch_simulator.h, collapsed_simulator.h,
+// adaptive_simulator.h, graphs/graph_simulation.h and
+// scenarios/scenario_spec.h) share one run-loop kernel (core/run_loop.h)
+// that owns every piece of run policy: the interaction budget, the periodic
+// silence check, the stable-output window, observer dispatch, geometric-skip
+// clamping at snapshot boundaries, and deterministic checkpoint/resume.  The
+// entry points only differ in how the next interaction is sampled.
 
 #ifndef POPPROTO_CORE_SIMULATOR_H
 #define POPPROTO_CORE_SIMULATOR_H
@@ -47,7 +48,7 @@ struct RunCheckpoint;
 /// points accept `kAuto` (the default) or their own value and throw on a
 /// mismatch, so a RunOptions that asks for the batch engine can never be
 /// executed by the agent-array loop unnoticed.  Engines without an enum
-/// value (weighted, graph, scheduler) require `kAuto`.
+/// value (weighted, graph, scenario models) require `kAuto`.
 enum class SimulationEngine {
     /// Defer to the call site: `run_simulation` selects by population size
     /// (agent array below kAutoCountBatchThreshold, count-batch up to
@@ -190,32 +191,23 @@ struct RunOptions {
     /// period, and the minimum dwell between switches (engine_monitor.h).
     AdaptiveOptions adaptive;
 
-    /// Opt-in mean-field fast-forward for the adaptive dispatcher: when the
-    /// run enters on the dense (collapsed) side, hand the dense bulk to the
-    /// fluid-limit ODE and re-seed the stochastic run from the integrated
-    /// densities at the predicted collapse of the signal below
-    /// adaptive.exit_collapsed.  This is an *approximation* — the resumed
-    /// trajectory is sampled from the mean-field densities, not the exact
-    /// chain, and interaction counters advance by the fluid estimate — so
-    /// it is excluded from every bit-identity contract and off by default.
-    /// Requires `fluid_hook` (meanfield/fluid_assist.h supplies the
-    /// standard one; core cannot depend on the meanfield library, hence the
-    /// indirection).
-    bool fluid_assist = false;
-
-    /// The fast-forward implementation consulted when `fluid_assist` is
-    /// set: returns a synthetic count-batch checkpoint to resume from, or
-    /// nullopt to decline (e.g. the ODE never leaves the dense regime
-    /// within its horizon, or the protocol has no usable fluid limit).
+    /// Opt-in mean-field fast-forward for the adaptive dispatcher; empty
+    /// (the default) means off.  When set and the run enters on the dense
+    /// (collapsed) side, the dispatcher calls it once before simulating: it
+    /// hands the dense bulk to the fluid-limit ODE and returns a synthetic
+    /// count-engine checkpoint at the predicted collapse of the signal
+    /// below adaptive.exit_collapsed to resume from, or nullopt to decline
+    /// (e.g. the ODE never leaves the dense regime within its horizon).
+    /// This is an *approximation* — the resumed trajectory is sampled from
+    /// the mean-field densities, not the exact chain, and interaction
+    /// counters advance by the fluid estimate — so it is excluded from every
+    /// bit-identity contract.  make_fluid_assist_hook
+    /// (meanfield/fluid_assist.h) builds the standard one; core cannot
+    /// depend on the meanfield library, hence the function object.
     std::function<std::optional<RunCheckpoint>(
         const TabulatedProtocol& protocol, const CountConfiguration& initial,
         const RunOptions& options)>
-        fluid_hook;
-
-    /// Internal plumbing of simulate_adaptive: the per-segment monitor the
-    /// kernel polls at loop boundaries.  Not a user-facing option — the
-    /// driver owns the monitor's lifetime; leave nullptr.
-    EngineSwitchMonitor* switch_monitor = nullptr;
+        fluid_assist;
 };
 
 /// Why a run stopped.
@@ -255,7 +247,7 @@ struct RunResult {
     ObservedEngine engine = ObservedEngine::kAgentArray;
 
     /// Finished performance telemetry when RunOptions::telemetry was set
-    /// (phase timers, shard utilization, super-step/skip accounting);
+    /// (phase timers, super-step/skip accounting, adaptive segments);
     /// nullptr otherwise.  Shared with the collector, so it outlives both.
     std::shared_ptr<const telemetry::RunTelemetry> telemetry;
 };

@@ -51,10 +51,7 @@ std::vector<std::uint64_t> sample_counts(Rng& rng, const std::vector<double>& de
 
 }  // namespace
 
-std::function<std::optional<RunCheckpoint>(
-    const TabulatedProtocol& protocol, const CountConfiguration& initial,
-    const RunOptions& options)>
-make_fluid_assist_hook(FluidOptions fluid_options) {
+decltype(RunOptions::fluid_assist) make_fluid_assist_hook(FluidOptions fluid_options) {
     return [fluid_options](const TabulatedProtocol& protocol, const CountConfiguration& initial,
                            const RunOptions& options) -> std::optional<RunCheckpoint> {
         const std::uint64_t n = initial.population_size();

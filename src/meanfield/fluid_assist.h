@@ -14,18 +14,15 @@
 // sample-path fluctuations actually decide the outcome.
 //
 // This is an explicit approximation, wired as an opt-in hook
-// (RunOptions::fluid_assist + fluid_hook) rather than a default: a
+// (RunOptions::fluid_assist, empty by default) rather than a default: a
 // fluid-assisted run is NOT bit-identical to — nor even an exact sample
 // path of — the unassisted law (fluctuations of the transient are
 // discarded; the fast-forwarded interaction/effective counters are
 // estimates).  Every bit-identity guarantee of simulate_adaptive is stated
-// for fluid_assist == false.
+// for an empty fluid_assist.
 
 #ifndef POPPROTO_MEANFIELD_FLUID_ASSIST_H
 #define POPPROTO_MEANFIELD_FLUID_ASSIST_H
-
-#include <functional>
-#include <optional>
 
 #include "core/configuration.h"
 #include "core/run_loop.h"
@@ -35,7 +32,7 @@
 
 namespace popproto {
 
-/// Builds the RunOptions::fluid_hook backed by solve_fluid.  The returned
+/// Builds a RunOptions::fluid_assist backed by solve_fluid.  The returned
 /// hook integrates to `fluid_options.t_end` (0 picks a horizon of
 /// 8 * (ln n + 1), enough for the Theta(log n) fluid transients of the
 /// paper's protocols, with an equilibrium detector armed) and returns the
@@ -44,10 +41,7 @@ namespace popproto {
 /// crossing lies at or beyond the run's interaction budget, or when the
 /// run starts sparse already.  Thresholds are read from the RunOptions the
 /// hook is invoked with, so one hook serves differently-tuned runs.
-std::function<std::optional<RunCheckpoint>(
-    const TabulatedProtocol& protocol, const CountConfiguration& initial,
-    const RunOptions& options)>
-make_fluid_assist_hook(FluidOptions fluid_options = {});
+decltype(RunOptions::fluid_assist) make_fluid_assist_hook(FluidOptions fluid_options = {});
 
 }  // namespace popproto
 

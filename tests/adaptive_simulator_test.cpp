@@ -297,8 +297,7 @@ TEST(AdaptiveSimulator, FluidAssistFastForwardsDenseEntries) {
     const RunResult exact = simulate_adaptive(*protocol, dense, plain);
 
     RunOptions assisted = adaptive_options(21);
-    assisted.fluid_assist = true;
-    assisted.fluid_hook = make_fluid_assist_hook();
+    assisted.fluid_assist = make_fluid_assist_hook();
     const RunResult fast = simulate_adaptive(*protocol, dense, assisted);
     EXPECT_EQ(fast.stop_reason, StopReason::kSilent);
     EXPECT_EQ(fast.consensus, std::optional<bool>(true));

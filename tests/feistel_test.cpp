@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include "core/interaction_model.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
-#include "core/schedulers.h"
 #include "core/simulator.h"
 #include "protocols/epidemic.h"
 #include "scenarios/adversarial.h"
@@ -189,9 +189,17 @@ TEST(LazyEpochPermutations, SweepAndAdversarialRunAtSixtyFourKAgents) {
 // Exact silence unpins the deterministic cover models from the periodic
 // probe: the run halts at the very interaction that produced silence
 // (interactions == last_output_change for the epidemic, whose final
-// infection is an output change), and the trajectory agrees with the
-// legacy scheduler path, which probes periodically and so can only halt
-// later.
+// infection is an output change), and the trajectory agrees with the same
+// model under the periodic multiset probe, which can only halt later.
+template <typename Model>
+RunResult run_periodic(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                       Model model, const RunOptions& options) {
+    PairStepper<Model, ObservedEngine::kPairModel, /*kExactSilence=*/false> stepper(
+        protocol, AgentConfiguration::from_counts(initial).states(), std::move(model),
+        "periodic reference");
+    return run_loop(stepper, protocol, options, "periodic reference");
+}
+
 TEST(ExactSilence, HaltsAtFirstSilentConfigurationAndMatchesSchedulerPath) {
     const auto protocol = make_epidemic_protocol();
     constexpr std::uint64_t kAgents = 20;
@@ -208,23 +216,18 @@ TEST(ExactSilence, HaltsAtFirstSilentConfigurationAndMatchesSchedulerPath) {
         EXPECT_EQ(exact.interactions, exact.last_output_change) << model;
         EXPECT_EQ(exact.effective_interactions, kAgents - 1) << model;
 
-        RunOptions scheduler_options;
-        scheduler_options.seed = 3;
-        RoundRobinScheduler round_robin(kAgents);
-        SweepScheduler sweep(kAgents, scheduler_options.seed);
-        Scheduler& scheduler =
-            spec.model == "sweep" ? static_cast<Scheduler&>(sweep) : round_robin;
-        const RunResult via_scheduler = simulate_with_scheduler(
-            *protocol, AgentConfiguration::from_counts(initial), scheduler,
-            scheduler_options);
-        EXPECT_EQ(via_scheduler.stop_reason, StopReason::kSilent) << model;
+        const RunResult periodic =
+            spec.model == "sweep"
+                ? run_periodic(*protocol, initial, SweepPairModel(kAgents, options.seed),
+                               options)
+                : run_periodic(*protocol, initial, RoundRobinPairModel(kAgents), options);
+        EXPECT_EQ(periodic.stop_reason, StopReason::kSilent) << model;
         // Same trajectory: identical final configuration and effective
         // count; the periodic probe can only stop at or after the exact
         // halt index.
-        EXPECT_EQ(via_scheduler.final_configuration, exact.final_configuration) << model;
-        EXPECT_EQ(via_scheduler.effective_interactions, exact.effective_interactions)
-            << model;
-        EXPECT_GE(via_scheduler.interactions, exact.interactions) << model;
+        EXPECT_EQ(periodic.final_configuration, exact.final_configuration) << model;
+        EXPECT_EQ(periodic.effective_interactions, exact.effective_interactions) << model;
+        EXPECT_GE(periodic.interactions, exact.interactions) << model;
     }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/debug.h"
 #include "core/protocol_io.h"
 #include "presburger/atom_protocols.h"
 #include "presburger/compiler.h"
@@ -95,6 +96,22 @@ TEST(ProtocolIo, SerializedFormHasOnlyNonNullDeltas) {
         ++position;
     }
     EXPECT_EQ(deltas, 1u);
+}
+
+TEST(Debug, DescribeProtocolListsTransitions) {
+    const auto protocol = make_counting_protocol(2);
+    const std::string text = describe_protocol(*protocol);
+    EXPECT_NE(text.find("states (3)"), std::string::npos);
+    EXPECT_NE(text.find("(q1, q1) -> (q2, q2)"), std::string::npos);
+    EXPECT_NE(text.find("inputs  (2)"), std::string::npos);
+}
+
+TEST(Debug, DotExportIsWellFormed) {
+    const auto protocol = make_counting_protocol(2);
+    const std::string dot = protocol_to_dot(*protocol);
+    EXPECT_EQ(dot.rfind("digraph protocol {", 0), 0u);
+    EXPECT_NE(dot.find("q1 -> q2"), std::string::npos);
+    EXPECT_NE(dot.find("}\n"), std::string::npos);
 }
 
 }  // namespace

@@ -15,15 +15,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/adaptive_simulator.h"
 #include "core/batch_simulator.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
-#include "core/schedulers.h"
 #include "core/simulator.h"
 #include "graphs/graph_simulation.h"
 #include "graphs/interaction_graph.h"
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
+#include "scenarios/scenario_spec.h"
 
 namespace popproto {
 namespace {
@@ -166,6 +167,14 @@ TEST(RunCheckpointIO, RejectsMalformedInputWithLineAndToken) {
     EXPECT_EQ(parse_error_message(sharded_engine),
               "read_checkpoint: line 2: engine 'parallel_collapsed' was removed with "
               "intra-run sharding; single runs are serial");
+    // Checkpoints of the removed virtual-scheduler path likewise.
+    std::string scheduler_engine = text;
+    scheduler_engine.replace(tag_at, std::string("engine agent_array").size(),
+                             "engine scheduler");
+    EXPECT_EQ(parse_error_message(scheduler_engine),
+              "read_checkpoint: line 2: engine 'scheduler' was removed with "
+              "simulate_with_scheduler; run round-robin and sweep pairing through "
+              "run_scenario (trace_run --model round_robin|sweep)");
     std::string shard_streams = text;
     const std::size_t counts_at = shard_streams.find("counts ");
     ASSERT_NE(counts_at, std::string::npos);
@@ -424,37 +433,203 @@ TEST(CheckpointResume, ValidatesCheckpointAgainstTheRun) {
     EXPECT_THROW(simulate(*protocol, initial, no_sink), std::invalid_argument);
 }
 
-// A Scheduler that keeps the default checkpoint hooks (checkpointable()
-// false): checkpoint/resume must be rejected up front for it, while the
-// built-in schedulers — which serialize through the interaction-model layer —
-// are accepted (their bit-identity is proven in interaction_model_test.cpp).
-TEST(CheckpointResume, NonCheckpointableSchedulerRejectsCheckpointing) {
-    class FirstPairScheduler final : public Scheduler {
-    public:
-        AgentPair next(const AgentConfiguration&) override { return {0, 1}; }
-    };
-    const auto protocol = make_counting_protocol(2);
-    const auto initial =
-        AgentConfiguration::from_inputs(*protocol, std::vector<Symbol>{1, 1, 0, 0});
-    FirstPairScheduler scheduler;
-    CollectingSink sink;
+// --- Version-1 checkpoints of every engine --------------------------------
+//
+// Each text below was spilled by an earlier build (checkpoint format v1) at a
+// mid-run pause; resuming it must still replay the rest of that run exactly,
+// ending on the values the writing build reported.  The collapsed engine's
+// case is CollapsedCheckpointResume.ResumesAVersionOneCheckpointBitIdentically.
+
+void expect_pinned_end(const RunResult& result, StopReason stop, std::uint64_t interactions,
+                       std::uint64_t effective, std::uint64_t last_output_change,
+                       const std::vector<std::uint64_t>& final_counts) {
+    EXPECT_EQ(result.stop_reason, stop);
+    EXPECT_EQ(result.interactions, interactions);
+    EXPECT_EQ(result.effective_interactions, effective);
+    EXPECT_EQ(result.last_output_change, last_output_change);
+    EXPECT_EQ(result.final_configuration.counts(), final_counts);
+}
+
+/// counting(3) with 7 of 64 agents holding a token: the run the
+/// agent-array, count-batch, weighted and sweep checkpoints were cut from.
+CountConfiguration counting_v1_initial(const TabulatedProtocol& protocol) {
+    return CountConfiguration::from_input_counts(protocol, {57, 7});
+}
+
+TEST(CheckpointV1, AgentArrayResumes) {
+    const RunCheckpoint checkpoint = checkpoint_from_string(
+        "popproto-checkpoint v1\n"
+        "engine agent_array\n"
+        "population 64\n"
+        "num_states 4\n"
+        "rng 5106512079924463297 3841881366178181150 13567085309021240567 "
+        "6309982835274854252\n"
+        "interactions 100\n"
+        "effective 26\n"
+        "last_output_change 99\n"
+        "next_silence_check 1024\n"
+        "changed_since_check 1\n"
+        "pending_skip 0 0\n"
+        "agents 64 0 0 0 0 0 3 0 0 0 0 0 3 0 0 0 0 0 3 3 0 0 0 0 0 0 0 3 0 3 0 0 "
+        "1 3 0 0 0 0 3 0 0 0 3 3 0 0 0 1 0 0 0 3 3 0 3 3 3 0 3 0 0 3 0 1 0\n"
+        "end\n");
+    const auto protocol = make_counting_protocol(3);
     RunOptions options;
-    options.max_interactions = 100;
-    options.checkpoint_every = 10;
-    options.checkpoint_sink = &sink;
-    EXPECT_THROW(simulate_with_scheduler(*protocol, initial, scheduler, options),
-                 std::invalid_argument);
+    options.max_interactions = 20000;
+    options.resume_from = &checkpoint;
+    const RunResult result = simulate(*protocol, counting_v1_initial(*protocol), options);
+    expect_pinned_end(result, StopReason::kSilent, 1024, 75, 236, {0, 0, 0, 64});
+}
 
-    // The same run without checkpointing is fine.
-    RunOptions plain;
-    plain.max_interactions = 100;
-    EXPECT_NO_THROW(simulate_with_scheduler(*protocol, initial, scheduler, plain));
+TEST(CheckpointV1, CountBatchResumes) {
+    const RunCheckpoint checkpoint = checkpoint_from_string(
+        "popproto-checkpoint v1\n"
+        "engine count_batch\n"
+        "population 64\n"
+        "num_states 4\n"
+        "rng 14192886054783455946 1481314414269845008 5764260880274158353 "
+        "2587234029150968311\n"
+        "interactions 300\n"
+        "effective 58\n"
+        "last_output_change 300\n"
+        "next_silence_check 1024\n"
+        "changed_since_check 1\n"
+        "pending_skip 0 0\n"
+        "counts 4 6 0 0 58\n"
+        "end\n");
+    const auto protocol = make_counting_protocol(3);
+    RunOptions options;
+    options.max_interactions = 20000;
+    options.resume_from = &checkpoint;
+    const RunResult result =
+        simulate_counts(*protocol, counting_v1_initial(*protocol), options);
+    expect_pinned_end(result, StopReason::kSilent, 364, 64, 364, {0, 0, 0, 64});
+}
 
-    // Built-in schedulers accept checkpointing now.
-    RoundRobinScheduler round_robin(4);
-    EXPECT_NO_THROW(simulate_with_scheduler(*protocol, initial, round_robin, options));
-    EXPECT_FALSE(sink.checkpoints.empty());
-    EXPECT_EQ(sink.checkpoints.front().interaction_model, "round_robin");
+TEST(CheckpointV1, WeightedResumes) {
+    const RunCheckpoint checkpoint = checkpoint_from_string(
+        "popproto-checkpoint v1\n"
+        "engine weighted\n"
+        "population 64\n"
+        "num_states 4\n"
+        "rng 11377842450715736200 15599449199418565974 741265318235763924 "
+        "5206896344618172918\n"
+        "interactions 300\n"
+        "effective 52\n"
+        "last_output_change 300\n"
+        "next_silence_check 1024\n"
+        "changed_since_check 1\n"
+        "pending_skip 0 0\n"
+        "agents 64 0 0 3 0 1 3 0 0 0 0 0 0 0 3 3 0 0 3 0 0 3 0 0 0 0 3 0 0 3 3 0 "
+        "0 3 3 0 3 0 3 3 0 0 3 3 0 3 0 3 3 0 3 3 3 0 3 3 0 3 0 3 0 3 0 0 0\n"
+        "end\n");
+    const auto protocol = make_counting_protocol(3);
+    const auto agents = AgentConfiguration::from_counts(counting_v1_initial(*protocol));
+    std::vector<double> weights;
+    for (std::size_t i = 0; i < agents.size(); ++i) weights.push_back(1.0 + double(i % 3));
+    RunOptions options;
+    options.max_interactions = 20000;
+    options.resume_from = &checkpoint;
+    const RunResult result = simulate_weighted(*protocol, agents, weights, options);
+    expect_pinned_end(result, StopReason::kSilent, 1024, 90, 484, {0, 0, 0, 64});
+}
+
+TEST(CheckpointV1, GraphResumes) {
+    const RunCheckpoint checkpoint = checkpoint_from_string(
+        "popproto-checkpoint v1\n"
+        "engine graph\n"
+        "population 16\n"
+        "num_states 2\n"
+        "rng 15048327327254993232 16988637851143483555 12377287543326583310 "
+        "5607658691065716170\n"
+        "interactions 50\n"
+        "effective 7\n"
+        "last_output_change 48\n"
+        "next_silence_check 1024\n"
+        "changed_since_check 1\n"
+        "pending_skip 0 0\n"
+        "agents 16 1 1 1 1 1 1 1 0 0 0 0 0 0 0 0 1\n"
+        "end\n");
+    const auto protocol = make_epidemic_protocol();
+    std::vector<Symbol> inputs(16, 0);
+    inputs[5] = 1;
+    RunOptions options;
+    options.max_interactions = 2000;
+    options.resume_from = &checkpoint;
+    const GraphRunResult result =
+        simulate_on_graph(*protocol, InteractionGraph::ring(16), inputs, options);
+    EXPECT_EQ(result.stop_reason, StopReason::kBudget);
+    EXPECT_EQ(result.interactions, 2000u);
+    EXPECT_EQ(result.effective_interactions, 15u);
+    EXPECT_EQ(result.last_output_change, 104u);
+    EXPECT_EQ(result.final_configuration.states(), std::vector<State>(16, 1));
+}
+
+TEST(CheckpointV1, SweepPairModelResumes) {
+    const RunCheckpoint checkpoint = checkpoint_from_string(
+        "popproto-checkpoint v1\n"
+        "engine pair_model\n"
+        "population 64\n"
+        "num_states 4\n"
+        "rng 7134611160154358618 13877614986023876344 4292726422858613063 "
+        "1832488697174800709\n"
+        "interactions 300\n"
+        "effective 31\n"
+        "last_output_change 0\n"
+        "next_silence_check 1024\n"
+        "changed_since_check 1\n"
+        "pending_skip 0 0\n"
+        "interaction_model sweep 13 11137286025162974636 6963525911055168376 "
+        "8617725656448901662 17815683692066450485 300 5320248114040590185 "
+        "11106458710588138716 11982022302389484462 15154927347600407493 "
+        "9531689329179025993 14471912560152521095 9295126279674440255 "
+        "14917173486637513096\n"
+        "agents 64 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 1 0 "
+        "0 0 0 0 0 0 0 1 0 0 0 0 1 0 0 0 0 0 0 0 0 2 0 0 0 0 0 0 0 0 0 0 0\n"
+        "end\n");
+    const auto protocol = make_counting_protocol(3);
+    ScenarioSpec spec;
+    spec.model = "sweep";
+    RunOptions options;
+    options.seed = 5;
+    options.max_interactions = 20000;
+    options.resume_from = &checkpoint;
+    const RunResult result =
+        run_scenario(*protocol, counting_v1_initial(*protocol), spec, options);
+    expect_pinned_end(result, StopReason::kSilent, 1311, 169, 1311, {0, 0, 0, 64});
+}
+
+// Cut inside the adaptive run's collapsed segment, after its first switch:
+// the checkpoint carries the segment engine plus the monitor's `adaptive`
+// line.  The end differs from the uninterrupted run (163595 interactions)
+// because the cut clamped a super-step; see adaptive_simulator.h.
+TEST(CheckpointV1, AdaptiveSegmentResumes) {
+    const RunCheckpoint checkpoint = checkpoint_from_string(
+        "popproto-checkpoint v1\n"
+        "engine collapsed\n"
+        "population 16384\n"
+        "num_states 2\n"
+        "rng 15726194102847690541 17198055299299192483 8148183098296110279 "
+        "17734539958297017071\n"
+        "interactions 100000\n"
+        "effective 15600\n"
+        "last_output_change 99992\n"
+        "next_silence_check 65536\n"
+        "changed_since_check 1\n"
+        "pending_skip 0 0\n"
+        "adaptive 1 63733 100248\n"
+        "counts 2 783 15601\n"
+        "end\n");
+    ASSERT_TRUE(checkpoint.adaptive);
+    ASSERT_EQ(checkpoint.engine, ObservedEngine::kCollapsed);
+    const auto protocol = make_epidemic_protocol();
+    const std::uint64_t n = 1 << 14;
+    RunOptions options;
+    options.engine = SimulationEngine::kAdaptive;
+    options.resume_from = &checkpoint;
+    const RunResult result = simulate_adaptive(
+        *protocol, CountConfiguration::from_input_counts(*protocol, {n - 1, 1}), options);
+    expect_pinned_end(result, StopReason::kSilent, 161953, 16383, 161953, {0, n});
 }
 
 TEST(RunLoop, ResolvesZeroBudgetAndPeriodDefaults) {

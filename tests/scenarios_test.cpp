@@ -18,6 +18,8 @@
 #include "core/rng.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
+#include "presburger/atom_protocols.h"
+#include "protocols/counting.h"
 #include "protocols/epidemic.h"
 #include "scenarios/adversarial.h"
 #include "scenarios/dynamic_graph.h"
@@ -266,6 +268,68 @@ TEST(RunScenario, ValidatesSpecAndOptions) {
     EXPECT_THROW(run_scenario(*protocol, initial, spec, options), std::invalid_argument);
 }
 
+// --- Deterministic schedulers through run_scenario -------------------------
+//
+// Stably-computing protocols converge under round-robin and sweep pairing
+// (the paper's footnote 2: covering every ordered pair infinitely often is
+// formally neither necessary nor sufficient for its fairness condition, but
+// it suffices for these protocols).
+
+CountConfiguration counting_inputs(const TabulatedProtocol& protocol, std::uint64_t zeros,
+                                   std::uint64_t ones) {
+    return CountConfiguration::from_input_counts(protocol, {zeros, ones});
+}
+
+RunResult run_model(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                    const char* model, const RunOptions& options) {
+    ScenarioSpec spec;
+    spec.model = model;
+    return run_scenario(protocol, initial, spec, options);
+}
+
+TEST(Schedulers, RoundRobinConvergesCounting) {
+    const auto protocol = make_counting_protocol(3);
+    const auto initial = counting_inputs(*protocol, 9, 4);
+    RunOptions options;
+    options.max_interactions = default_budget(13);
+    const RunResult result = run_model(*protocol, initial, "round_robin", options);
+    EXPECT_EQ(result.stop_reason, StopReason::kSilent);
+    ASSERT_TRUE(result.consensus.has_value());
+    EXPECT_EQ(*result.consensus, kOutputTrue);
+}
+
+TEST(Schedulers, RoundRobinConvergesMajority) {
+    const auto protocol = make_threshold_protocol({1, -1}, 0);
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {7, 9});
+    RunOptions options;
+    options.max_interactions = default_budget(16, 256.0);
+    const RunResult result = run_model(*protocol, initial, "round_robin", options);
+    ASSERT_TRUE(result.consensus.has_value());
+    EXPECT_EQ(*result.consensus, kOutputTrue);  // 7 < 9
+}
+
+TEST(Schedulers, SweepModelConverges) {
+    const auto protocol = make_counting_protocol(2);
+    const auto initial = counting_inputs(*protocol, 10, 3);
+    RunOptions options;
+    options.seed = 5;
+    options.max_interactions = default_budget(13);
+    const RunResult result = run_model(*protocol, initial, "sweep", options);
+    ASSERT_TRUE(result.consensus.has_value());
+    EXPECT_EQ(*result.consensus, kOutputTrue);
+}
+
+TEST(Schedulers, DeterministicRoundRobinIsReproducible) {
+    const auto protocol = make_counting_protocol(2);
+    const auto initial = counting_inputs(*protocol, 6, 2);
+    RunOptions options;
+    options.max_interactions = default_budget(8);
+    const RunResult ra = run_model(*protocol, initial, "round_robin", options);
+    const RunResult rb = run_model(*protocol, initial, "round_robin", options);
+    EXPECT_EQ(ra.interactions, rb.interactions);
+    EXPECT_EQ(ra.final_configuration, rb.final_configuration);
+}
+
 // --- Checkpoint/resume bit-identity ----------------------------------------
 
 void expect_same_run(const RunResult& actual, const RunResult& expected) {
@@ -288,12 +352,12 @@ public:
 /// Periodic-checkpoint bit-identity plus service-style quantum slicing:
 /// every cut must resume onto the baseline trajectory exactly, and chaining
 /// quanta on the absolute pause grid must reproduce the terminal result.
-void check_scenario_bit_identity(const ScenarioSpec& spec, RunOptions options,
-                                 std::uint64_t checkpoint_every, std::uint64_t quantum) {
-    const auto protocol = make_epidemic_protocol();
-    const auto initial = CountConfiguration::from_input_counts(*protocol, {19, 1});
+void check_scenario_bit_identity(const TabulatedProtocol& protocol,
+                                 const CountConfiguration& initial, const ScenarioSpec& spec,
+                                 RunOptions options, std::uint64_t checkpoint_every,
+                                 std::uint64_t quantum) {
     const auto run = [&](const RunOptions& opts) {
-        return run_scenario(*protocol, initial, spec, opts);
+        return run_scenario(protocol, initial, spec, opts);
     };
     const RunResult baseline = run(options);
 
@@ -335,6 +399,15 @@ void check_scenario_bit_identity(const ScenarioSpec& spec, RunOptions options,
         resuming = true;
     }
     EXPECT_GT(quanta, 1) << "quantum too large to exercise slicing: " << spec.model;
+}
+
+/// The same checks on the one-infected epidemic over 20 agents.
+void check_scenario_bit_identity(const ScenarioSpec& spec, const RunOptions& options,
+                                 std::uint64_t checkpoint_every, std::uint64_t quantum) {
+    const auto protocol = make_epidemic_protocol();
+    check_scenario_bit_identity(*protocol,
+                                CountConfiguration::from_input_counts(*protocol, {19, 1}), spec,
+                                options, checkpoint_every, quantum);
 }
 
 TEST(ScenarioCheckpoint, AdversarialResumesBitIdenticallyMidEpoch) {
@@ -387,6 +460,25 @@ TEST(ScenarioCheckpoint, RoundRobinAndSweepResumeThroughRunScenario) {
         // old 53/59 grid to land inside the run.
         check_scenario_bit_identity(spec, options, /*checkpoint_every=*/7, /*quantum=*/11);
     }
+
+    // Mid-cycle cuts on the majority protocol, whose runs outlast one
+    // cycle: 37 is coprime to the 72-pair round-robin cycle at n = 9, and
+    // 41 cuts the sweep model mid-sweep at n = 8, so the cursor and the
+    // permutation state must serialize.
+    const auto majority = make_threshold_protocol({1, -1}, 0);
+    ScenarioSpec round_robin;
+    round_robin.model = "round_robin";
+    check_scenario_bit_identity(*majority,
+                                CountConfiguration::from_input_counts(*majority, {5, 4}),
+                                round_robin, RunOptions{}, /*checkpoint_every=*/37,
+                                /*quantum=*/37);
+    ScenarioSpec sweep;
+    sweep.model = "sweep";
+    RunOptions sweep_options;
+    sweep_options.seed = 5;
+    check_scenario_bit_identity(*majority,
+                                CountConfiguration::from_input_counts(*majority, {4, 4}),
+                                sweep, sweep_options, /*checkpoint_every=*/41, /*quantum=*/19);
 }
 
 TEST(ScenarioCheckpoint, ResumeRejectsWrongModel) {

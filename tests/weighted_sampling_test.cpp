@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/simulator.h"
 #include "presburger/atom_protocols.h"
 #include "protocols/counting.h"
@@ -95,6 +99,25 @@ TEST(WeightedSampling, ValidatesArguments) {
                  std::invalid_argument);
     EXPECT_THROW(simulate_weighted(*protocol, initial, {1.0, 1.0, 1.0, 0.0}, options),
                  std::invalid_argument);
+}
+
+// An AgentConfiguration carries no state count, so agents built for a
+// larger protocol can reach simulate_weighted.  The entry point must refuse
+// them instead of indexing its counts and the δ table out of bounds.
+TEST(WeightedSampling, RejectsStatesOutsideTheProtocol) {
+    const auto large = make_counting_protocol(40);
+    const auto small = make_counting_protocol(1);
+    const auto agents = AgentConfiguration::from_states({0, 1, 0, 40, 0, 1, 0, 39},
+                                                        large->num_states());
+    const std::vector<double> weights(agents.size(), 1.0);
+    RunOptions options;
+    options.max_interactions = 100;
+    try {
+        simulate_weighted(*small, agents, weights, options);
+        FAIL() << "states outside the protocol were accepted";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_EQ(std::string(error.what()), "simulate_weighted: initial state out of range");
+    }
 }
 
 TEST(WeightedSampling, DeterministicGivenSeed) {
