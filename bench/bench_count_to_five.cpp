@@ -10,6 +10,7 @@
 #include <cinttypes>
 
 #include "bench_util.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "protocols/counting.h"
 
@@ -37,7 +38,8 @@ void run() {
                 RunOptions options;
                 options.max_interactions = default_budget(n);
                 options.seed = 17 * n + 101 * ones + trial;
-                const RunResult result = simulate(*protocol, initial, options);
+                options.engine = SimulationEngine::kAgentArray;
+                const RunResult result = run_simulation(*protocol, initial, options);
                 convergence.push_back(static_cast<double>(result.last_output_change));
                 const Symbol expected = ones >= 5 ? kOutputTrue : kOutputFalse;
                 if (!result.consensus || *result.consensus != expected) all_correct = false;

@@ -7,6 +7,7 @@
 // report the convergence overhead of the baton construction per topology.
 
 #include "bench_util.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "graphs/graph_simulation.h"
 #include "graphs/interaction_graph.h"
@@ -39,7 +40,8 @@ void run() {
         RunOptions options;
         options.max_interactions = default_budget(n);
         options.seed = 42 + trial;
-        const RunResult result = simulate(*base, initial, options);
+        options.engine = SimulationEngine::kAgentArray;
+        const RunResult result = run_simulation(*base, initial, options);
         baseline.push_back(static_cast<double>(result.last_output_change));
         if (!result.consensus || *result.consensus != kOutputTrue) baseline_correct = false;
     }

@@ -7,6 +7,7 @@
 
 #include "analysis/markov.h"
 #include "bench_util.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "protocols/leader_election.h"
 
@@ -42,7 +43,8 @@ void run() {
             RunOptions options;
             options.max_interactions = 64 * n * n + 1024;
             options.seed = 7919 * n + trial;
-            const RunResult result = simulate(*protocol, initial, options);
+            options.engine = SimulationEngine::kAgentArray;
+            const RunResult result = run_simulation(*protocol, initial, options);
             measured.push_back(static_cast<double>(result.last_output_change));
         }
         const double m = mean(measured);

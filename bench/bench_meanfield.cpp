@@ -58,10 +58,11 @@ void BM_BatchSimulateEpidemic(benchmark::State& state) {
     const auto initial = epidemic_initial(*protocol, n);
     RunOptions options;
     options.max_interactions = static_cast<std::uint64_t>(kHorizon) * n;
+    options.engine = SimulationEngine::kCountBatch;
     std::uint64_t seed = 1;
     for (auto _ : state) {
         options.seed = seed++;
-        const RunResult result = simulate_counts(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         benchmark::DoNotOptimize(result.interactions);
     }
 }

@@ -8,6 +8,7 @@
 //     population as it works, and its survivors encode the exact margin.
 
 #include "bench_util.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "extensions/birth_death.h"
 #include "extensions/multiway.h"
@@ -89,7 +90,8 @@ void birth_death_ablation() {
             RunOptions options;
             options.max_interactions = default_budget(100, 128.0);
             options.seed = 900 + trial;
-            const RunResult result = simulate(*protocol, initial, options);
+            options.engine = SimulationEngine::kAgentArray;
+            const RunResult result = run_simulation(*protocol, initial, options);
             convergence.push_back(static_cast<double>(result.last_output_change));
             if (!result.consensus || *result.consensus != kOutputTrue) all_correct = false;
         }

@@ -51,6 +51,7 @@ RunOptions agent_options(std::uint64_t seed) {
     RunOptions options;
     options.max_interactions = kAgentBudget;
     options.seed = seed;
+    options.engine = SimulationEngine::kAgentArray;
     return options;
 }
 
@@ -58,6 +59,7 @@ RunOptions batch_options(std::uint64_t seed) {
     RunOptions options;
     options.max_interactions = kBatchBudget;
     options.seed = seed;
+    options.engine = SimulationEngine::kCountBatch;
     return options;
 }
 
@@ -76,7 +78,7 @@ void run_agent_array(benchmark::State& state, Runner&& with_options) {
     for (auto _ : state) {
         RunOptions options = agent_options(++seed);
         with_options(options);
-        const RunResult result = simulate(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         benchmark::DoNotOptimize(result.interactions);
     }
@@ -93,7 +95,7 @@ void run_batch(benchmark::State& state, Runner&& with_options) {
     for (auto _ : state) {
         RunOptions options = batch_options(++seed);
         with_options(options);
-        const RunResult result = simulate_counts(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         benchmark::DoNotOptimize(result.interactions);
     }
@@ -189,7 +191,7 @@ void BM_BatchJsonl(benchmark::State& state) {
         RunOptions options = batch_options(++seed);
         options.observer = &writer;
         options.snapshots = SnapshotSchedule::every(65536);
-        const RunResult result = simulate_counts(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         benchmark::DoNotOptimize(sink.str().size());
     }

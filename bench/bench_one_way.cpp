@@ -9,6 +9,7 @@
 // equal-level agents instead of one token coalescence pass).
 
 #include "bench_util.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "protocols/counting.h"
 #include "protocols/one_way.h"
@@ -41,7 +42,8 @@ void run() {
                 RunOptions options;
                 options.max_interactions = default_budget(n, 256.0);
                 options.seed = 7 * n + trial + (one_way ? 1000 : 0);
-                const RunResult result = simulate(*protocol, initial, options);
+                options.engine = SimulationEngine::kAgentArray;
+                const RunResult result = run_simulation(*protocol, initial, options);
                 convergence.push_back(static_cast<double>(result.last_output_change));
                 if (!result.consensus || *result.consensus != kOutputTrue)
                     all_correct = false;

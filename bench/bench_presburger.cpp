@@ -6,6 +6,7 @@
 // convention formula y1 - 2 y2 = 0 (mod 3) over its 5-token alphabet.
 
 #include "bench_util.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "presburger/compiler.h"
 
@@ -78,7 +79,8 @@ void run() {
                 RunOptions options;
                 options.max_interactions = default_budget(n, 128.0);
                 options.seed = 5 * n + trial;
-                const RunResult result = simulate(*workload.protocol, initial, options);
+                options.engine = SimulationEngine::kAgentArray;
+                const RunResult result = run_simulation(*workload.protocol, initial, options);
                 convergence.push_back(static_cast<double>(result.last_output_change));
                 if (!result.consensus || *result.consensus != want) all_correct = false;
             }

@@ -7,6 +7,7 @@
 // should approach a constant as n grows.
 
 #include "bench_util.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "presburger/atom_protocols.h"
 
@@ -34,7 +35,8 @@ void run() {
                 RunOptions options;
                 options.max_interactions = default_budget(n);
                 options.seed = 31 * n + 7 * modulus + trial;
-                const RunResult result = simulate(*protocol, initial, options);
+                options.engine = SimulationEngine::kAgentArray;
+                const RunResult result = run_simulation(*protocol, initial, options);
                 convergence.push_back(static_cast<double>(result.last_output_change));
                 const Symbol want = expected ? kOutputTrue : kOutputFalse;
                 if (!result.consensus || *result.consensus != want) all_correct = false;

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "bench_util.h"
+#include "core/batch_simulator.h"
 #include "core/configuration.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
@@ -28,6 +29,7 @@ using popproto::CountConfiguration;
 using popproto::RunOptions;
 using popproto::RunResult;
 using popproto::ScenarioSpec;
+using popproto::SimulationEngine;
 
 // 8n interactions on a 2048-agent epidemic: mid-spread for every pairing
 // discipline (uniform needs ~2n ln n to finish; covers need whole
@@ -43,15 +45,17 @@ RunOptions budget_options() {
 }
 
 /// Reference row: the identical workload through the plain uniform
-/// sampler (simulate), the floor the scenario models are priced against.
+/// sampler (the agent-array engine), the floor the scenario models are
+/// priced against.
 /// items/s is interactions per second in every row of this suite.
 void BM_UniformBaselineEpidemic(benchmark::State& state) {
     const auto protocol = popproto::make_epidemic_protocol();
     const auto initial =
         CountConfiguration::from_input_counts(*protocol, {kAgents - 1, 1});
-    const RunOptions options = budget_options();
+    RunOptions options = budget_options();
+    options.engine = SimulationEngine::kAgentArray;
     for (auto _ : state) {
-        const RunResult result = popproto::simulate(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         benchmark::DoNotOptimize(result.interactions);
     }
     state.SetItemsProcessed(state.iterations() * kBudget);
@@ -115,9 +119,10 @@ void BM_PavlovGameUniform(benchmark::State& state) {
         popproto::make_game_protocol(popproto::make_pavlov_prisoners_dilemma());
     const auto initial =
         CountConfiguration::from_input_counts(*protocol, {kAgents / 2, kAgents / 2});
-    const RunOptions options = budget_options();
+    RunOptions options = budget_options();
+    options.engine = SimulationEngine::kAgentArray;
     for (auto _ : state) {
-        const RunResult result = popproto::simulate(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         benchmark::DoNotOptimize(result.interactions);
     }
     state.SetItemsProcessed(state.iterations() * kBudget);

@@ -93,7 +93,7 @@ void BM_DirectRun(benchmark::State& state) {
     RunOptions options;
     options.seed = spec.seed;
     options.max_interactions = spec.budget;
-    options.engine = popproto::service::parse_engine_name(spec.engine);
+    options.engine = popproto::parse_engine_name(spec.engine);
     for (auto _ : state) {
         const RunResult result = popproto::run_simulation(*protocol, initial, options);
         benchmark::DoNotOptimize(result.interactions);

@@ -8,6 +8,7 @@
 // n^2 ln n.
 
 #include "bench_util.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "presburger/atom_protocols.h"
 
@@ -58,7 +59,8 @@ void run() {
                 RunOptions options;
                 options.max_interactions = default_budget(n, 128.0);
                 options.seed = 13 * n + trial;
-                const RunResult result = simulate(*protocol, initial, options);
+                options.engine = SimulationEngine::kAgentArray;
+                const RunResult result = run_simulation(*protocol, initial, options);
                 convergence.push_back(static_cast<double>(result.last_output_change));
                 if (!result.consensus || *result.consensus != want) all_correct = false;
             }

@@ -30,7 +30,8 @@ void BM_SimulateCounting(benchmark::State& state) {
         options.max_interactions = 200000;
         options.silence_check_period = 1u << 30;  // measure the raw loop
         options.seed = ++seed;
-        const RunResult result = simulate(*protocol, initial, options);
+        options.engine = SimulationEngine::kAgentArray;
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         benchmark::DoNotOptimize(result.interactions);
     }
@@ -54,8 +55,8 @@ BENCHMARK(BM_SimulateCounting)->Arg(256)->Arg(4096);
 
 constexpr std::uint64_t kHeadToHeadBudget = 4'000'000;
 
-template <typename Engine>
-void run_counting_head_to_head(benchmark::State& state, std::uint64_t ones, Engine&& engine) {
+void run_counting_head_to_head(benchmark::State& state, std::uint64_t ones,
+                               SimulationEngine engine) {
     const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {n - ones, ones});
@@ -66,7 +67,8 @@ void run_counting_head_to_head(benchmark::State& state, std::uint64_t ones, Engi
         RunOptions options;
         options.max_interactions = kHeadToHeadBudget;
         options.seed = ++seed;
-        const RunResult result = engine(*protocol, initial, options);
+        options.engine = engine;
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         effective += result.effective_interactions;
         benchmark::DoNotOptimize(result.interactions);
@@ -77,30 +79,25 @@ void run_counting_head_to_head(benchmark::State& state, std::uint64_t ones, Engi
         static_cast<double>(effective), benchmark::Counter::kIsRate);
 }
 
-const auto kAgentArrayEngine = [](const TabulatedProtocol& p, const CountConfiguration& c,
-                                  const RunOptions& o) { return simulate(p, c, o); };
-const auto kBatchEngine = [](const TabulatedProtocol& p, const CountConfiguration& c,
-                             const RunOptions& o) { return simulate_counts(p, c, o); };
-
 void BM_CountingAgentArrayDense(benchmark::State& state) {
     run_counting_head_to_head(state, static_cast<std::uint64_t>(state.range(0)) / 2,
-                              kAgentArrayEngine);
+                              SimulationEngine::kAgentArray);
 }
 BENCHMARK(BM_CountingAgentArrayDense)->Arg(256)->Arg(4096)->Arg(65536)->Arg(1048576);
 
 void BM_CountingBatchDense(benchmark::State& state) {
     run_counting_head_to_head(state, static_cast<std::uint64_t>(state.range(0)) / 2,
-                              kBatchEngine);
+                              SimulationEngine::kCountBatch);
 }
 BENCHMARK(BM_CountingBatchDense)->Arg(256)->Arg(4096)->Arg(65536)->Arg(1048576);
 
 void BM_CountingAgentArraySparse(benchmark::State& state) {
-    run_counting_head_to_head(state, 7, kAgentArrayEngine);
+    run_counting_head_to_head(state, 7, SimulationEngine::kAgentArray);
 }
 BENCHMARK(BM_CountingAgentArraySparse)->Arg(256)->Arg(4096)->Arg(65536)->Arg(1048576);
 
 void BM_CountingBatchSparse(benchmark::State& state) {
-    run_counting_head_to_head(state, 7, kBatchEngine);
+    run_counting_head_to_head(state, 7, SimulationEngine::kCountBatch);
 }
 BENCHMARK(BM_CountingBatchSparse)->Arg(256)->Arg(4096)->Arg(65536)->Arg(1048576);
 
@@ -120,7 +117,8 @@ void BM_BatchCountingFullConvergence(benchmark::State& state) {
         RunOptions options;
         options.max_interactions = default_budget(n);
         options.seed = ++seed;
-        const RunResult result = simulate_counts(*protocol, initial, options);
+        options.engine = SimulationEngine::kCountBatch;
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         if (result.stop_reason == StopReason::kSilent) ++silent_runs;
         benchmark::DoNotOptimize(result.interactions);
@@ -142,7 +140,8 @@ void BM_SimulateMajorityProtocol(benchmark::State& state) {
         options.max_interactions = 200000;
         options.silence_check_period = 1u << 30;
         options.seed = ++seed;
-        const RunResult result = simulate(*protocol, initial, options);
+        options.engine = SimulationEngine::kAgentArray;
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
     }
     state.counters["interactions/s"] = benchmark::Counter(

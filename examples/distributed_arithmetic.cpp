@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "machines/examples.h"
 #include "protocols/division.h"
@@ -27,7 +28,8 @@ int main() {
     RunOptions options;
     options.max_interactions = default_budget(m + idle);
     options.seed = 33;
-    const RunResult run = simulate(*division, initial, options);
+    options.engine = SimulationEngine::kAgentArray;
+    const RunResult run = run_simulation(*division, initial, options);
     const DivisionReading reading = read_division(*division, run.final_configuration, divisor);
     std::printf("division protocol: m=%llu -> quotient=%llu remainder=%llu (expected %llu r %llu)\n",
                 static_cast<unsigned long long>(m),

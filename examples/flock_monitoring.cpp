@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "analysis/stable_computation.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "presburger/compiler.h"
 
@@ -42,7 +43,8 @@ int main() {
         RunOptions options;
         options.max_interactions = default_budget(flock, 128.0);
         options.seed = sick;
-        const RunResult result = simulate(*protocol, initial, options);
+        options.engine = SimulationEngine::kAgentArray;
+        const RunResult result = run_simulation(*protocol, initial, options);
         std::printf("flock=%llu sick=%llu -> %s after %llu interactions\n",
                     static_cast<unsigned long long>(flock),
                     static_cast<unsigned long long>(sick),

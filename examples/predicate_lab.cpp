@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/stable_computation.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "presburger/compiler.h"
 #include "presburger/parser.h"
@@ -87,7 +88,8 @@ int main(int argc, char** argv) {
     RunOptions options;
     options.max_interactions = default_budget(population, 128.0);
     options.seed = 1;
-    const RunResult result = simulate(*protocol, initial, options);
+    options.engine = SimulationEngine::kAgentArray;
+    const RunResult result = run_simulation(*protocol, initial, options);
     const bool expected =
         formula.evaluate(std::vector<std::int64_t>(counts.begin(), counts.end()));
     std::printf("simulated : n=%llu -> %s after %llu interactions (ground truth: %s)\n",

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "protocols/counting.h"
 
@@ -27,7 +28,8 @@ int main() {
     RunOptions options;
     options.max_interactions = default_budget(flock_size);
     options.seed = 2004;  // PODC 2004
-    const RunResult result = simulate(*protocol, initial, options);
+    options.engine = SimulationEngine::kAgentArray;
+    const RunResult result = run_simulation(*protocol, initial, options);
 
     std::printf("flock of %llu birds, %llu fevered\n",
                 static_cast<unsigned long long>(flock_size),

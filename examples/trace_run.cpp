@@ -1,14 +1,14 @@
 // trace_run: stream one simulated run as JSONL for plotting.
 //
 // Runs a built-in protocol — or any protocol compiled from a
-// quantifier-free Presburger predicate — under any of the five engines with
+// quantifier-free Presburger predicate — under any of the six engines with
 // a snapshot schedule and writes the trace to stdout, one JSON object per
 // line — pipe it into jq/python for trajectory plots (README.md shows a
 // matplotlib one-liner).  Long runs can be suspended and resumed: with
 // --checkpoint the run continuously overwrites a checkpoint file, and
 // --resume continues bit-identically from such a file (same protocol,
-// population, and topology flags required; the engine is inferred from the
-// file).
+// population, and topology flags required; without --engine the run resumes
+// on the engine that wrote the file).
 //
 //   trace_run [protocol] [flags]
 //
@@ -23,13 +23,15 @@
 //                replaces --n/--ones for multi-variable predicates
 //   --seed S     RNG seed                             (default 1)
 //   --budget B   max interactions                     (default: default_budget(n))
-//   --engine E   batch (default) | collapsed | agent | weighted | graph |
-//                adaptive
-//                (collapsed batches ~sqrt(n) interactions per super-step —
-//                prefer it at n >= 2^20; weighted runs with unit weights;
-//                graph activates uniform random edges of --graph and never
-//                falls silent; adaptive switches batch <-> collapsed mid-run
-//                as the effective-pair density crosses thresholds)
+//   --engine E   batch (default) | collapsed | agent | adaptive | auto |
+//                weighted | graph
+//                (the first five go to run_simulation, auto picking by
+//                population size; collapsed batches ~sqrt(n) interactions
+//                per super-step — prefer it at n >= 2^20; weighted runs
+//                with unit weights; graph activates uniform random edges of
+//                --graph and never falls silent; adaptive switches batch <->
+//                collapsed mid-run as the effective-pair density crosses
+//                thresholds)
 //   --adaptive   shorthand for --engine adaptive
 //   --switch-thresholds ENTER,EXIT[,DWELL[,PERIOD]]
 //                adaptive dispatcher tuning: enter/exit the collapsed engine
@@ -58,7 +60,8 @@
 //                          and exit cleanly instead of killing the run
 //   --checkpoint-every N   checkpoint period          (default: budget / 16)
 //   --resume FILE          resume from a checkpoint file (seed is ignored;
-//                          the file carries the exact RNG position)
+//                          the file carries the exact RNG position); a
+//                          weighted or graph file needs its --engine
 //   --no-counts  omit count vectors (indices and events only)
 //   --metrics    append the MetricsCollector JSON aggregate to stderr
 //   --profile BASE  collect runtime telemetry (telemetry/telemetry.h) and
@@ -91,13 +94,12 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/adaptive_simulator.h"
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/observer.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
@@ -126,7 +128,7 @@ using namespace popproto;
     std::fprintf(stderr,
                  "usage: trace_run [epidemic|counting|majority|pavlov] [--predicate F] [--n N]\n"
                  "                 [--ones K] [--counts C0,C1,...] [--seed S] [--budget B]\n"
-                 "                 [--engine batch|collapsed|agent|weighted|graph|adaptive]\n"
+                 "                 [--engine batch|collapsed|agent|adaptive|auto|weighted|graph]\n"
                  "                 [--adaptive] [--switch-thresholds ENTER,EXIT[,DWELL[,PERIOD]]]\n"
                  "                 [--fluid-assist]\n"
                  "                 [--graph complete|ring|line|star]\n"
@@ -276,7 +278,7 @@ int main(int argc, char** argv) {
     std::uint64_t budget = 0;       // 0 = default_budget(n)
     std::uint64_t every = 0;        // 0 = n / 4
     double log_factor = 0.0;        // 0 = use --every
-    std::string engine_name;        // empty = batch, or inferred from --resume
+    std::string engine_name;        // empty = batch, or kAuto with --resume
     AdaptiveOptions adaptive_tuning;   // --switch-thresholds
     bool adaptive_tuning_given = false;
     bool fluid_assist = false;
@@ -314,11 +316,14 @@ int main(int argc, char** argv) {
             log_factor = parse_double(arg, next());
         } else if (std::strcmp(arg, "--engine") == 0) {
             engine_name = next();
-            if (engine_name != "batch" && engine_name != "collapsed" &&
-                engine_name != "agent" && engine_name != "weighted" &&
-                engine_name != "graph" && engine_name != "adaptive")
-                usage_error("--engine: expected batch, collapsed, agent, weighted, graph, or "
-                            "adaptive, got " + engine_name);
+            if (engine_name != "weighted" && engine_name != "graph") {
+                try {
+                    parse_engine_name(engine_name);
+                } catch (const std::invalid_argument& error) {
+                    usage_error(std::string("--engine: ") + error.what() +
+                                "; or weighted, graph");
+                }
+            }
         } else if (std::strcmp(arg, "--adaptive") == 0) {
             engine_name = "adaptive";
         } else if (std::strcmp(arg, "--switch-thresholds") == 0) {
@@ -437,8 +442,9 @@ int main(int argc, char** argv) {
     }
     const auto initial = CountConfiguration::from_input_counts(*protocol, input_counts);
 
-    // Resuming: load the checkpoint up front so the engine can be inferred
-    // from (or validated against) the file.
+    // Resuming: load the checkpoint up front.  Without --engine the run
+    // resumes on the engine that wrote it (run_simulation's kAuto rule); a
+    // scenario checkpoint names its model, which --model must match.
     RunCheckpoint resume_checkpoint;
     if (!resume_path.empty()) {
         std::ifstream in(resume_path);
@@ -448,26 +454,11 @@ int main(int argc, char** argv) {
         } catch (const std::exception& error) {
             usage_error("--resume: " + resume_path + ": " + error.what());
         }
-        std::string file_engine;
-        std::string file_model;
-        if (resume_checkpoint.adaptive) {
-            // The engine field names the segment engine at the cut; the
-            // adaptive marker line says the run itself was adaptive.
-            file_engine = "adaptive";
-        } else switch (resume_checkpoint.engine) {
-            case ObservedEngine::kAgentArray: file_engine = "agent"; break;
-            case ObservedEngine::kCountBatch: file_engine = "batch"; break;
-            case ObservedEngine::kCollapsed: file_engine = "collapsed"; break;
-            case ObservedEngine::kWeighted: file_engine = "weighted"; break;
-            case ObservedEngine::kGraph: file_engine = "graph"; break;
-            case ObservedEngine::kPairModel:
-                // run_scenario checkpoints carry the model name; structural
-                // parameters (phases, torus size) are not in the file, so
-                // the resume command must repeat them.
-                file_model = resume_checkpoint.interaction_model;
-                break;
-        }
-        if (!file_model.empty()) {
+        if (resume_checkpoint.engine == ObservedEngine::kPairModel) {
+            // run_scenario checkpoints carry the model name; structural
+            // parameters (phases, torus size) are not in the file, so the
+            // resume command must repeat them.
+            const std::string& file_model = resume_checkpoint.interaction_model;
             if (!engine_name.empty())
                 usage_error("--resume: " + resume_path + " was taken by the " + file_model +
                             " scenario model; drop --engine to resume it");
@@ -477,20 +468,19 @@ int main(int argc, char** argv) {
                 usage_error("--resume: " + resume_path + " was taken by the " + file_model +
                             " model, but --model requests " + scenario.model);
         } else if (!scenario.model.empty()) {
-            usage_error("--resume: " + resume_path + " was taken by the " + file_engine +
+            usage_error("--resume: " + resume_path + " was taken by the " +
+                        observed_engine_name(resume_checkpoint.engine) +
                         " engine, but --model requests " + scenario.model);
-        } else if (engine_name.empty()) {
-            engine_name = file_engine;
-        } else if (engine_name != file_engine) {
-            usage_error("--resume: " + resume_path + " was taken by the " + file_engine +
-                        " engine, but --engine requests " + engine_name);
         }
     }
     if (!scenario.model.empty() && !engine_name.empty())
         usage_error("--model conflicts with --engine (scenarios pick their own pairing)");
-    if (engine_name.empty() && scenario.model.empty()) engine_name = "batch";
+    if (engine_name.empty() && scenario.model.empty() && resume_path.empty())
+        engine_name = "batch";
 
-    if ((adaptive_tuning_given || fluid_assist) && engine_name != "adaptive")
+    const bool adaptive_run =
+        engine_name == "adaptive" || (engine_name.empty() && resume_checkpoint.adaptive);
+    if ((adaptive_tuning_given || fluid_assist) && !adaptive_run)
         usage_error("--switch-thresholds/--fluid-assist: require --engine adaptive "
                     "(or --adaptive)");
 
@@ -538,45 +528,48 @@ int main(int argc, char** argv) {
     std::unique_ptr<ProgressReporter> progress;
     if (show_progress) progress = std::make_unique<ProgressReporter>(collector, n);
 
-    RunResult result{CountConfiguration(protocol->num_states()), StopReason::kBudget, 0, 0, 0,
-                     std::nullopt};
-    if (!scenario.model.empty()) {
-        result = run_scenario(*protocol, initial, scenario, options);
-    } else if (engine_name == "batch") {
-        result = simulate_counts(*protocol, initial, options);
-    } else if (engine_name == "collapsed") {
-        result = simulate_collapsed(*protocol, initial, options);
-    } else if (engine_name == "adaptive") {
-        options.engine = SimulationEngine::kAdaptive;
-        result = simulate_adaptive(*protocol, initial, options);
-    } else if (engine_name == "agent") {
-        result = simulate(*protocol, initial, options);
-    } else if (engine_name == "weighted") {
-        // Unit weights demonstrate the inverse-CDF sampler; the distribution
-        // coincides with `agent` but the RNG stream (and so the trajectory)
-        // differs.
-        const auto agents = AgentConfiguration::from_counts(initial);
-        const std::vector<double> weights(agents.size(), 1.0);
-        result = simulate_weighted(*protocol, agents, weights, options);
-    } else {  // graph
-        if (n > std::uint32_t(-1)) usage_error("--engine graph: population must fit 32 bits");
-        const auto num_agents = static_cast<std::uint32_t>(n);
-        InteractionGraph graph = InteractionGraph::ring(num_agents);
-        if (graph_name == "complete") {
-            graph = InteractionGraph::complete(num_agents);
-        } else if (graph_name == "line") {
-            graph = InteractionGraph::line(num_agents);
-        } else if (graph_name == "star") {
-            graph = InteractionGraph::star(num_agents);
-        } else if (graph_name != "ring") {
-            usage_error("--graph: expected complete, ring, line, or star, got " + graph_name);
+    RunResult result{CountConfiguration(protocol->num_states())};
+    try {
+        if (!scenario.model.empty()) {
+            result = run_scenario(*protocol, initial, scenario, options);
+        } else if (engine_name == "weighted") {
+            // Unit weights demonstrate the inverse-CDF sampler; the
+            // distribution coincides with `agent` but the RNG stream (and so
+            // the trajectory) differs.
+            const auto agents = AgentConfiguration::from_counts(initial);
+            const std::vector<double> weights(agents.size(), 1.0);
+            result = simulate_weighted(*protocol, agents, weights, options);
+        } else if (engine_name == "graph") {
+            if (n > std::uint32_t(-1))
+                usage_error("--engine graph: population must fit 32 bits");
+            const auto num_agents = static_cast<std::uint32_t>(n);
+            InteractionGraph graph = InteractionGraph::ring(num_agents);
+            if (graph_name == "complete") {
+                graph = InteractionGraph::complete(num_agents);
+            } else if (graph_name == "line") {
+                graph = InteractionGraph::line(num_agents);
+            } else if (graph_name == "star") {
+                graph = InteractionGraph::star(num_agents);
+            } else if (graph_name != "ring") {
+                usage_error("--graph: expected complete, ring, line, or star, got " +
+                            graph_name);
+            }
+            const GraphRunResult graph_result =
+                simulate_on_graph(*protocol, graph, expand_inputs(input_counts), options);
+            result = RunResult{graph_result.final_configuration.to_counts(protocol->num_states()),
+                               graph_result.stop_reason, graph_result.interactions,
+                               graph_result.effective_interactions,
+                               graph_result.last_output_change, graph_result.consensus};
+        } else {
+            options.engine =
+                engine_name.empty() ? SimulationEngine::kAuto : parse_engine_name(engine_name);
+            result = run_simulation(*protocol, initial, options);
         }
-        const GraphRunResult graph_result =
-            simulate_on_graph(*protocol, graph, expand_inputs(input_counts), options);
-        result = RunResult{graph_result.final_configuration.to_counts(protocol->num_states()),
-                           graph_result.stop_reason, graph_result.interactions,
-                           graph_result.effective_interactions,
-                           graph_result.last_output_change, graph_result.consensus};
+    } catch (const std::invalid_argument& error) {
+        // A checkpoint that does not fit the run (wrong engine, population or
+        // protocol) is caller input, like a bad flag.
+        progress.reset();
+        usage_error(error.what());
     }
     progress.reset();  // final join before the exports touch the collector
 

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # The full pre-merge gate, in one command:
 #
-#   1. plain build + full ctest suite            (functional correctness)
+#   1. plain build + full ctest suite            (functional correctness;
+#                                                 -Werror on the configure
+#                                                 line, not in CMakeLists.txt,
+#                                                 so a warning never breaks
+#                                                 perfbench's build)
 #   2. perf-gate message self-test               (scripts/compare_bench.py
 #                                                 against synthetic suites:
 #                                                 the debug refusal, drift
@@ -49,7 +53,7 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${1:-$ROOT/build}"
 
 echo "ci.sh: [1/8] plain build + tests"
-cmake -B "$BUILD_DIR" -S "$ROOT"
+cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 

@@ -1,12 +1,62 @@
-#include "core/adaptive_simulator.h"
+// The phase-adaptive dispatcher: one run, executed as a chain of
+// count-batch / collapsed segments spliced at runtime density switches.
+//
+// Neither count engine wins a whole run.  The collapsed super-step engine
+// (collapsed_simulator.cpp) advances ~1.25 sqrt(n) interactions per O(|Q|^2)
+// super-step and is unbeatable through dense transients; the count-batch
+// engine (batch_simulator.h) crosses null-heavy sparse tails in O(1)
+// geometric jumps and is unbeatable there.  A single-seed epidemic at
+// n = 2^22 visits *both* regimes — sparse ignition, dense middle, sparse
+// convergence tail — so any static choice loses one phase.  The former
+// kAuto policy picked once, by population size, before the run started.
+//
+// This dispatcher (SimulationEngine::kAdaptive, and kAuto at or above
+// kAutoCollapsedThreshold) picks per *phase* instead.  An
+// EngineSwitchMonitor (engine_monitor.h) watches the dimensionless signal x = rho * E[L]
+// (effective-interaction fraction times expected collision-free run length)
+// that both engines already compute for their silence predicates, and when
+// hysteresis thresholds say the other engine now wins, the run-loop kernel
+// captures a checkpoint at the current super-step / skip boundary and this
+// driver resumes it under the other engine via transfer_checkpoint_engine.
+// The switch IS a checkpoint round-trip: counts, the exact RNG stream
+// position, the silence tracker, and the stop counters carry over verbatim,
+// so an adaptive run is bit-identical to manually running engine A to the
+// switch index, saving a checkpoint, and resuming engine B from it — and
+// suspend/resume (checkpoint_every / pause_after / stop_flag) works across
+// switch boundaries unchanged (the checkpoint's `adaptive` section carries
+// the monitor state).
+//
+// The splice is exact because the monitor only fires at *natural* loop
+// tops: a pause boundary placed at a switch index never clamps the
+// super-step ending there (its natural end lands one short of the limit),
+// so pausing ON a switch index is transparent.  Cuts elsewhere inherit the
+// collapsed engine's checkpoint contract — boundaries inside collapsed
+// segments clamp super-steps, so resume bit-identity for arbitrary cuts is
+// against a baseline running the same boundary schedule (see
+// tests/adaptive_simulator_test.cpp and collapsed_simulator_test.cpp).
+//
+// Resume: emitted checkpoints carry the concrete segment engine plus the
+// monitor's `adaptive` section.  run_simulation's kAuto resumes such a
+// checkpoint here; pinning the segment engine resumes it statically (the
+// section is then ignored); a static-engine (count_batch / collapsed)
+// checkpoint handed to kAdaptive is adopted with a fresh monitor.
+//
+// Optional mean-field fast-forward (RunOptions::fluid_assist, built by
+// make_fluid_assist_hook in meanfield/fluid_assist.h): a dense-entry run
+// may first integrate the protocol's mean-field ODE to the predicted
+// sparse-tail entry, re-seed a stochastic configuration there, and only
+// then simulate.  Explicitly opt-in because it trades exactness for speed:
+// a fluid-assisted run is *not* bit-identical to (or even a sample path of)
+// the unassisted law.
 
 #include <chrono>
 #include <optional>
+#include <string>
 #include <utility>
 
-#include "core/adaptive_segments.h"
 #include "core/effective_pairs.h"
 #include "core/engine_monitor.h"
+#include "core/engine_runners.h"
 #include "core/require.h"
 #include "core/run_loop.h"
 #include "telemetry/telemetry.h"
@@ -81,14 +131,14 @@ private:
 
 }  // namespace
 
-RunResult simulate_adaptive(const TabulatedProtocol& protocol,
-                            const CountConfiguration& initial, const RunOptions& options) {
+RunResult engine_detail::run_adaptive(const TabulatedProtocol& protocol,
+                                      const CountConfiguration& initial,
+                                      const RunOptions& options) {
     require(initial.num_states() == protocol.num_states(),
-            "simulate_adaptive: configuration does not match protocol");
+            "adaptive: configuration does not match protocol");
     const std::uint64_t n = initial.population_size();
-    require(n >= 2, "simulate_adaptive: need at least two agents");
-    require(n < (std::uint64_t{1} << 32), "simulate_adaptive: population must fit 32 bits");
-    require_engine_field(options, SimulationEngine::kAdaptive, "simulate_adaptive");
+    require(n >= 2, "adaptive: need at least two agents");
+    require(n < (std::uint64_t{1} << 32), "adaptive: population must fit 32 bits");
 
     const std::uint64_t budget = resolved_budget(options, n);
 
@@ -103,7 +153,7 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
         cursor = *options.resume_from;
         require(cursor->engine == ObservedEngine::kCountBatch ||
                     cursor->engine == ObservedEngine::kCollapsed,
-                std::string("simulate_adaptive: cannot resume a ") +
+                std::string("adaptive: cannot resume a ") +
                     observed_engine_name(cursor->engine) + " checkpoint");
         current = cursor->engine;
         monitor.emplace(n, current, options.adaptive);
@@ -141,13 +191,11 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
             if (assist.has_value()) {
                 require(assist->engine == ObservedEngine::kCountBatch ||
                             assist->engine == ObservedEngine::kCollapsed,
-                        "simulate_adaptive: fluid_assist must produce a count-engine "
-                        "checkpoint");
+                        "adaptive: fluid_assist must produce a count-engine checkpoint");
                 require(assist->population == n && assist->num_states == protocol.num_states(),
-                        "simulate_adaptive: fluid_assist checkpoint does not match the run");
+                        "adaptive: fluid_assist checkpoint does not match the run");
                 require(assist->interactions <= budget,
-                        "simulate_adaptive: fluid_assist fast-forwarded past the "
-                        "interaction budget");
+                        "adaptive: fluid_assist fast-forwarded past the interaction budget");
                 cursor = std::move(assist);
                 current = cursor->engine;
                 monitor.emplace(n, current, options.adaptive);
@@ -166,8 +214,7 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
     if (options.observer != nullptr) segment_observer.emplace(*options.observer);
     const auto wall_start = std::chrono::steady_clock::now();
 
-    RunResult result{CountConfiguration(protocol.num_states()), StopReason::kBudget, 0, 0, 0,
-                     std::nullopt};
+    RunResult result{CountConfiguration(protocol.num_states())};
     while (true) {
         RunOptions segment = options;
         segment.engine = current == ObservedEngine::kCollapsed
@@ -178,8 +225,8 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
         segment.observer = segment_observer.has_value() ? &*segment_observer : nullptr;
 
         result = current == ObservedEngine::kCollapsed
-                     ? adaptive_detail::run_collapsed(protocol, initial, segment, &*monitor)
-                     : adaptive_detail::run_count_batch(protocol, initial, segment, &*monitor);
+                     ? engine_detail::run_collapsed(protocol, initial, segment, &*monitor)
+                     : engine_detail::run_count_batch(protocol, initial, segment, &*monitor);
 
         // No pending switch: the segment ended the run for real (silence,
         // budget, stable outputs, or a user pause/stop) — finalize.
@@ -189,7 +236,7 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
         // boundary and the sink holds the transfer checkpoint.  Splice.
         std::optional<RunCheckpoint> fire = sink.take_fire();
         ensure(fire.has_value(),
-               "simulate_adaptive: monitor fired without a transfer checkpoint");
+               "adaptive: monitor fired without a transfer checkpoint");
         const std::uint64_t switch_index = fire->interactions;
         EngineSwitchInfo info;
         info.interactions = switch_index;

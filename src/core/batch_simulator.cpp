@@ -1,13 +1,13 @@
 #include "core/batch_simulator.h"
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "core/adaptive_segments.h"
-#include "core/adaptive_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/effect_tables.h"
 #include "core/effective_pairs.h"
+#include "core/engine_runners.h"
 #include "core/require.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
@@ -79,7 +79,7 @@ public:
                 u -= pair_weight;
             }
         }
-        ensure(found, "simulate_counts: internal pair-sampling invariant violated");
+        ensure(found, "count_batch: internal pair-sampling invariant violated");
 
         const StatePair next = protocol_.apply_fast(p, q);
         const Symbol out_p = protocol_.output_fast(p);
@@ -109,10 +109,11 @@ public:
 
     void restore(const RunCheckpoint& checkpoint) {
         require(checkpoint.counts.size() == tracker_.counts().size(),
-                "simulate_counts: checkpoint state-count mismatch");
+                "count_batch: checkpoint state-count mismatch");
         std::uint64_t total = 0;
         for (const std::uint64_t count : checkpoint.counts) total += count;
-        require(total == population_, "simulate_counts: checkpoint population mismatch");
+        require(total == population_,
+                "count_batch: checkpoint population mismatch");
         tracker_.reset_counts(checkpoint.counts);
     }
 
@@ -123,56 +124,77 @@ private:
     double total_pairs_;
 };
 
-}  // namespace
-
-RunResult adaptive_detail::run_count_batch(const TabulatedProtocol& protocol,
-                                           const CountConfiguration& initial,
-                                           const RunOptions& options,
-                                           EngineSwitchMonitor* monitor) {
-    require(initial.num_states() == protocol.num_states(),
-            "simulate_counts: configuration does not match protocol");
-    const std::uint64_t n = initial.population_size();
-    require(n >= 2, "simulate_counts: need at least two agents");
-    require(n < (std::uint64_t{1} << 32), "simulate_counts: population must fit 32 bits");
-    require_engine_field(options, SimulationEngine::kCountBatch, "simulate_counts");
-
-    CountBatchStepper stepper(protocol, initial);
-    return run_loop(stepper, protocol, options, "simulate_counts", monitor);
+/// The engine that wrote `checkpoint`, which a kAuto resume continues on.
+SimulationEngine writer_engine(const RunCheckpoint& checkpoint) {
+    if (checkpoint.adaptive) return SimulationEngine::kAdaptive;
+    const char* door = "run_scenario";
+    switch (checkpoint.engine) {
+        case ObservedEngine::kAgentArray:
+            return SimulationEngine::kAgentArray;
+        case ObservedEngine::kCountBatch:
+            return SimulationEngine::kCountBatch;
+        case ObservedEngine::kCollapsed:
+            return SimulationEngine::kCollapsedBatch;
+        case ObservedEngine::kAdaptive:
+            return SimulationEngine::kAdaptive;
+        case ObservedEngine::kWeighted:
+            door = "simulate_weighted";
+            break;
+        case ObservedEngine::kGraph:
+            door = "simulate_on_graph";
+            break;
+        case ObservedEngine::kPairModel:
+            break;
+    }
+    throw std::invalid_argument(std::string("run_simulation: a ") +
+                                observed_engine_name(checkpoint.engine) +
+                                " checkpoint resumes through " + door);
 }
 
-RunResult simulate_counts(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                          const RunOptions& options) {
-    return adaptive_detail::run_count_batch(protocol, initial, options, nullptr);
+}  // namespace
+
+RunResult engine_detail::run_count_batch(const TabulatedProtocol& protocol,
+                                         const CountConfiguration& initial,
+                                         const RunOptions& options,
+                                         EngineSwitchMonitor* monitor) {
+    require(initial.num_states() == protocol.num_states(),
+            "count_batch: configuration does not match protocol");
+    const std::uint64_t n = initial.population_size();
+    require(n >= 2, "count_batch: need at least two agents");
+    require(n < (std::uint64_t{1} << 32), "count_batch: population must fit 32 bits");
+
+    CountBatchStepper stepper(protocol, initial);
+    return run_loop(stepper, protocol, options, "count_batch", monitor);
 }
 
 RunResult run_simulation(const TabulatedProtocol& protocol, const CountConfiguration& initial,
                          const RunOptions& options) {
-    switch (options.engine) {
+    SimulationEngine engine = options.engine;
+    if (engine == SimulationEngine::kAuto && options.resume_from != nullptr)
+        engine = writer_engine(*options.resume_from);
+    if (engine == SimulationEngine::kAuto) {
+        // Size-based auto-selection (see the threshold constants in
+        // simulator.h): the count engines need the multiset view anyway, so
+        // the only inputs are the population and the documented crossover
+        // points.  At collapsed scale the within-run regime matters more than
+        // the size, so those runs go to the phase-adaptive dispatcher.
+        const std::uint64_t n = initial.population_size();
+        engine = n >= kAutoCollapsedThreshold    ? SimulationEngine::kAdaptive
+                 : n >= kAutoCountBatchThreshold ? SimulationEngine::kCountBatch
+                                                 : SimulationEngine::kAgentArray;
+    }
+    switch (engine) {
         case SimulationEngine::kCountBatch:
-            return simulate_counts(protocol, initial, options);
+            return engine_detail::run_count_batch(protocol, initial, options, nullptr);
         case SimulationEngine::kCollapsedBatch:
-            return simulate_collapsed(protocol, initial, options);
-        case SimulationEngine::kAgentArray:
-            return simulate(protocol, initial, options);
+            return engine_detail::run_collapsed(protocol, initial, options, nullptr);
         case SimulationEngine::kAdaptive:
-            return simulate_adaptive(protocol, initial, options);
+            return engine_detail::run_adaptive(protocol, initial, options);
+        case SimulationEngine::kAgentArray:
         case SimulationEngine::kAuto:
             break;
     }
-    // A checkpoint that carries an adaptive monitor section was written by
-    // the adaptive dispatcher; kAuto resumes it there so the run keeps its
-    // switching behaviour instead of silently pinning the segment engine.
-    if (options.resume_from != nullptr && options.resume_from->adaptive)
-        return simulate_adaptive(protocol, initial, options);
-    // Size-based auto-selection (see the threshold constants in
-    // simulator.h): the count engines need the multiset view anyway, so the
-    // only inputs are the population and the documented crossover points.
-    // At collapsed scale the within-run regime matters more than the size,
-    // so those runs go to the phase-adaptive dispatcher.
-    const std::uint64_t n = initial.population_size();
-    if (n >= kAutoCollapsedThreshold) return simulate_adaptive(protocol, initial, options);
-    if (n >= kAutoCountBatchThreshold) return simulate_counts(protocol, initial, options);
-    return simulate(protocol, initial, options);
+    return engine_detail::run_agent_array(protocol, initial, options);
 }
 
 }  // namespace popproto

@@ -22,6 +22,8 @@
 //  * W == 0 is exactly the silence predicate, so silence is detected at the
 //    precise interaction after which no further change is possible;
 //    RunOptions::silence_check_period is not needed and is ignored.
+//  * Checkpoint boundaries inside a geometric null skip are materialized
+//    exactly (run_loop.h), so suspend/resume is bit-identical here too.
 //  * Observation (core/observer.h): scheduled snapshot indices that fall
 //    inside a geometric jump are emitted with the current (unchanged)
 //    counts and stamped with their exact interaction index — null runs
@@ -30,7 +32,7 @@
 //    RunResult are bit-identical with and without an observer.
 //
 // The reported interaction counts, stop reasons, and final configurations
-// are distributed exactly as in the agent-array `simulate` loop; only the
+// are distributed exactly as in the agent-array engine; only the
 // RNG stream differs, so a fixed seed yields a different (equally valid)
 // trajectory.  Two bookkeeping fields are interpreted multiset-wise:
 // `effective_interactions` counts interactions that changed the multiset
@@ -43,6 +45,9 @@
 // effective fraction stays near 1 *and* |Q| is large; for the protocols in
 // this repository the batch engine wins by orders of magnitude at large n
 // (see bench_throughput).
+//
+// This header also declares run_simulation, which reaches this engine and
+// the other three complete-graph engines through RunOptions::engine.
 
 #ifndef POPPROTO_CORE_BATCH_SIMULATOR_H
 #define POPPROTO_CORE_BATCH_SIMULATOR_H
@@ -53,23 +58,16 @@
 
 namespace popproto {
 
-/// Simulates `protocol` from `initial` under uniform random pairing using
-/// the count-based batch engine.  Requires a population of at least 2 and
-/// fewer than 2^32 agents, and options.engine in {kAuto, kCountBatch}.
-/// Drop-in replacement for `simulate`: same options (silence_check_period
-/// ignored), same result contract (see the file comment for the two
-/// multiset-wise bookkeeping fields).  Runs on the shared run-loop kernel
-/// (core/run_loop.h); checkpoint boundaries inside a geometric null skip are
-/// materialized exactly, so suspend/resume is bit-identical here too.
-RunResult simulate_counts(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                          const RunOptions& options);
-
-/// Dispatches on `options.engine`: kCountBatch runs `simulate_counts`,
-/// kCollapsedBatch runs `simulate_collapsed`, kAgentArray runs `simulate`.
-/// kAuto selects by population size — agent array below
-/// kAutoCountBatchThreshold, count-batch up to kAutoCollapsedThreshold,
-/// collapsed beyond (see simulator.h for the measured crossovers); the
-/// chosen engine is reported in RunResult::engine.
+/// Simulates `protocol` from `initial` under uniform random pairing on the
+/// engine options.engine names — the one door to the four complete-graph
+/// engines (simulator.h).  kAuto resumes a checkpoint on the engine that
+/// wrote it and otherwise selects by population size: agent array below
+/// kAutoCountBatchThreshold, count-batch up to kAutoCollapsedThreshold, the
+/// phase-adaptive dispatcher beyond (see simulator.h for the measured
+/// crossovers).  The engine that ran is reported in RunResult::engine.
+/// Requires a population of at least 2 (and below 2^32 for the count
+/// engines).  Throws std::invalid_argument for a kAuto resume of a weighted,
+/// graph or pair-model checkpoint, naming the entry point that resumes it.
 RunResult run_simulation(const TabulatedProtocol& protocol, const CountConfiguration& initial,
                          const RunOptions& options);
 

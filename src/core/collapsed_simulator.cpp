@@ -1,12 +1,74 @@
-#include "core/collapsed_simulator.h"
+// Collapsed super-step simulation engine: amortized sub-constant time per
+// interaction via multinomial batching.
+//
+// The count-batch engine (batch_simulator.h) pays O(1) per skipped null
+// interaction but still O(|Q|) per *effective* one, and the paper's
+// randomized results need runs of 10^9..10^12 interactions (Theorem 8's
+// O(n^2 log n) Presburger bound, Theorem 9's Theta(n^k) epochs) with dense
+// phases where most interactions are effective.  This engine collapses
+// whole *runs* of interactions into one count update:
+//
+//  * Super-step length.  Ordered pairs of distinct agents are drawn
+//    uniformly; as long as consecutive pairs touch pairwise-disjoint
+//    agents, their effects commute and the aggregate is a without-
+//    replacement sample of the count vector.  The length L of the maximal
+//    collision-free run has the birthday-problem law
+//        P(L >= t) = prod_{i<t} (n-2i)(n-2i-1) / (n(n-1)),
+//    with E[L] ~ 0.63 sqrt(n); the survival table depends only on n, is
+//    built once, and one uniform01 + binary search samples L exactly.
+//  * Batch assignment.  The L initiator states form a multivariate
+//    hypergeometric sample A of the counts (cascade of exact
+//    Rng::hypergeometric splits), the responder states B a second cascade
+//    over the remainder, and the initiator-responder matching a third
+//    cascade — O(|Q|^2) draws total.  Applying delta to every matched pair
+//    type at once is one O(|Q|^2) count update for ~sqrt(n) interactions:
+//    amortized O(|Q|^2 / sqrt(n)) per interaction.
+//  * The colliding interaction.  The pair that terminated the run involves
+//    at least one already-touched agent; it is resolved individually from
+//    the post-batch touched multiset T (|T| = 2L) and the untouched
+//    remainder U, with case weights TT : TU : UT = 2L(2L-1) : 2L(n-2L) :
+//    (n-2L)2L.
+//
+// Equivalence contract (sharper than the cross-engine one of PR 2): the
+// distribution of trajectories and RunResults is identical to the agent-array
+// and count-batch engines', but equivalence is *distribution-level only* —
+// even against itself across observation setups.  The run-loop kernel clamps a
+// super-step at snapshot, checkpoint, stable-output-window, and
+// silence-check boundaries (exactly: the first m pairs of a collision-free
+// run of length >= m are themselves a collision-free batch of length m, and
+// the count chain is Markov), so boundary *placement* steers where the RNG
+// stream is spent, and the same seed yields different (equally valid)
+// trajectories under different schedules.  Checkpoint/resume remains
+// bit-identical because a resumed run reconstructs the identical boundary
+// sequence: suspend-at-k + resume reproduces the checkpointed run exactly.
+//
+// Same options and result contract as the count-batch engine
+// (silence_check_period ignored; multiset-wise effective_interactions and
+// last_output_change), with two bookkeeping coarsenings (both documented in
+// DESIGN.md):
+//  * last_output_change is stamped at the end of the super-step containing
+//    the change, not at the exact interaction inside the batch.
+//  * Silence (W == 0, exact as in the count-batch engine) is detected at
+//    super-step granularity, so the reported kSilent interaction index may
+//    overshoot the exact onset by up to one super-step (< ~2 sqrt(n)); the
+//    final configuration is unaffected (a silent multiset is frozen).
+//
+// Cost model: O(|Q|^2 + sqrt(n)-ish sampler walks) per ~0.63 sqrt(n)
+// interactions.  Prefer it for dense phases at large n (>= 2^20); the
+// count-batch engine remains better on sparse tails, where its geometric
+// null skip crosses n^2/W interactions in O(1) while a super-step only
+// crosses ~sqrt(n) (see README's engine table and bench_collapsed).
+//
+// Reached through run_simulation with SimulationEngine::kCollapsedBatch, or
+// as a segment of the phase-adaptive dispatcher (engine_runners.h).
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "core/adaptive_segments.h"
 #include "core/effect_tables.h"
+#include "core/engine_runners.h"
 #include "core/require.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
@@ -17,7 +79,7 @@ namespace popproto {
 
 namespace {
 
-/// The collapsed super-step sampler (collapsed_simulator.h): collision-free
+/// The collapsed super-step sampler (file comment): collision-free
 /// runs of ~sqrt(n) ordered pairs are assigned to state pairs by exact
 /// hypergeometric count splits and applied as one aggregate delta; the
 /// single colliding interaction terminating each run is resolved
@@ -116,10 +178,10 @@ public:
 
     void restore(const RunCheckpoint& checkpoint) {
         require(checkpoint.counts.size() == counts_.size(),
-                "simulate_collapsed: checkpoint state-count mismatch");
+                "collapsed: checkpoint state-count mismatch");
         std::uint64_t total = 0;
         for (const std::uint64_t count : checkpoint.counts) total += count;
-        require(total == population_, "simulate_collapsed: checkpoint population mismatch");
+        require(total == population_, "collapsed: checkpoint population mismatch");
         counts_ = checkpoint.counts;
         recompute_effective_pairs();
     }
@@ -174,7 +236,7 @@ private:
                     apply_pair_type(p, q, k, outcome);
                 }
             }
-            ensure(left == 0, "simulate_collapsed: internal matching invariant violated");
+            ensure(left == 0, "collapsed: internal matching invariant violated");
         }
     }
 
@@ -250,7 +312,7 @@ private:
             if (index < counts[s]) return s;
             index -= counts[s];
         }
-        ensure(false, "simulate_collapsed: internal multiset-pick invariant violated");
+        ensure(false, "collapsed: internal multiset-pick invariant violated");
         return 0;
     }
 
@@ -310,25 +372,18 @@ private:
 
 }  // namespace
 
-RunResult adaptive_detail::run_collapsed(const TabulatedProtocol& protocol,
-                                         const CountConfiguration& initial,
-                                         const RunOptions& options,
-                                         EngineSwitchMonitor* monitor) {
+RunResult engine_detail::run_collapsed(const TabulatedProtocol& protocol,
+                                       const CountConfiguration& initial,
+                                       const RunOptions& options, EngineSwitchMonitor* monitor) {
     require(initial.num_states() == protocol.num_states(),
-            "simulate_collapsed: configuration does not match protocol");
+            "collapsed: configuration does not match protocol");
     const std::uint64_t n = initial.population_size();
-    require(n >= 2, "simulate_collapsed: need at least two agents");
-    require(n < (std::uint64_t{1} << 32), "simulate_collapsed: population must fit 32 bits");
-    require_engine_field(options, SimulationEngine::kCollapsedBatch, "simulate_collapsed");
+    require(n >= 2, "collapsed: need at least two agents");
+    require(n < (std::uint64_t{1} << 32), "collapsed: population must fit 32 bits");
 
     CollapsedStepper stepper(protocol, initial);
     stepper.set_telemetry(options.telemetry);
-    return run_loop(stepper, protocol, options, "simulate_collapsed", monitor);
-}
-
-RunResult simulate_collapsed(const TabulatedProtocol& protocol,
-                             const CountConfiguration& initial, const RunOptions& options) {
-    return adaptive_detail::run_collapsed(protocol, initial, options, nullptr);
+    return run_loop(stepper, protocol, options, "collapsed", monitor);
 }
 
 }  // namespace popproto

@@ -61,8 +61,8 @@ struct AdaptiveOptions {
     friend bool operator==(const AdaptiveOptions&, const AdaptiveOptions&) = default;
 };
 
-/// The monitor the adaptive driver (simulate_adaptive) hands to each engine
-/// segment's run_loop (core/adaptive_segments.h).  The run-loop kernel
+/// The monitor the adaptive driver (run_adaptive) hands to each engine
+/// segment's run_loop (core/engine_runners.h).  The run-loop kernel
 /// polls it at loop-top boundaries; when `consider` requests a switch the
 /// kernel captures a checkpoint-shaped state transfer and pauses, and the
 /// driver resumes it under the other engine.  Internal plumbing — not a
@@ -76,7 +76,7 @@ public:
           current_(entry_engine) {
         require(population >= 2, "EngineSwitchMonitor: need at least two agents");
         require(enter_ > exit_ && exit_ >= 0.0,
-                "simulate_adaptive: adaptive thresholds must satisfy "
+                "adaptive: adaptive thresholds must satisfy "
                 "enter_collapsed > exit_collapsed >= 0");
         require(entry_engine == ObservedEngine::kCountBatch ||
                     entry_engine == ObservedEngine::kCollapsed,

@@ -277,7 +277,7 @@ public:
     static_assert(!kExactSilence || M::kCanSilence,
                   "exact silence needs a model that can reach every pair of present states");
 
-    /// `entry_point` names the caller in error messages ("simulate",
+    /// `entry_point` names the caller in error messages ("simulate_weighted",
     /// "run_scenario", ...).  Throws std::invalid_argument when a state is
     /// not one of the protocol's.
     PairStepper(const TabulatedProtocol& protocol, std::vector<State> states, M model,

@@ -83,9 +83,9 @@ private:
     std::uint64_t first_ = 1;    // kLog
 };
 
-/// Which execution path produced the events (simulate, simulate_counts,
-/// simulate_collapsed, simulate_weighted, simulate_on_graph, run_scenario,
-/// or simulate_adaptive).
+/// Which execution path produced the events: one of the four engines of
+/// run_simulation (agent array, count-batch, collapsed, adaptive),
+/// simulate_weighted, simulate_on_graph, or run_scenario.
 enum class ObservedEngine {
     kAgentArray,
     kCountBatch,
@@ -96,9 +96,9 @@ enum class ObservedEngine {
     /// round-robin, sweep, adversarial, dynamic graph, grid mobility).  The
     /// checkpoint's interaction_model section disambiguates which model.
     kPairModel,
-    /// The phase-adaptive dispatcher (simulate_adaptive): one run executed
-    /// as a chain of collapsed / count-batch segments spliced at runtime
-    /// density switches.  Only RunResult::engine and observer events report
+    /// The phase-adaptive dispatcher (SimulationEngine::kAdaptive): one run
+    /// executed as a chain of collapsed / count-batch segments spliced at
+    /// runtime density switches.  Only RunResult::engine and observer events report
     /// this value; checkpoints always carry the concrete segment engine
     /// (count_batch or collapsed) plus an `adaptive` monitor section, so
     /// any segment checkpoint can also resume under its static engine.
@@ -124,8 +124,9 @@ struct RunStartInfo {
     const TabulatedProtocol* protocol = nullptr;
 };
 
-/// One phase-adaptive engine switch (simulate_adaptive): the monitor's
-/// decision at the moment the run was spliced from one engine to the other.
+/// One phase-adaptive engine switch (SimulationEngine::kAdaptive): the
+/// monitor's decision at the moment the run was spliced from one engine to
+/// the other.
 struct EngineSwitchInfo {
     /// Interaction index of the splice point (the checkpoint-shaped state
     /// transfer happened exactly here).
@@ -173,7 +174,7 @@ public:
     virtual void on_silence_check(std::uint64_t interaction_index, bool silent);
 
     /// The adaptive dispatcher spliced the run onto another engine
-    /// (simulate_adaptive only; static engines never call this).  Delivered
+    /// (the adaptive dispatcher only; static engines never call this).  Delivered
     /// between the last event of the old segment and the first of the new.
     virtual void on_engine_switch(const EngineSwitchInfo& info);
 

@@ -54,31 +54,6 @@ bool multiset_silent(const TabulatedProtocol& protocol,
     return true;
 }
 
-void require_engine_field(const RunOptions& options, SimulationEngine accepted,
-                          const char* entry_point) {
-    if (options.engine == SimulationEngine::kAuto || options.engine == accepted) return;
-    const char* requested = "kAuto";
-    switch (options.engine) {
-        case SimulationEngine::kAuto:
-            break;
-        case SimulationEngine::kAgentArray:
-            requested = "kAgentArray";
-            break;
-        case SimulationEngine::kCountBatch:
-            requested = "kCountBatch";
-            break;
-        case SimulationEngine::kCollapsedBatch:
-            requested = "kCollapsedBatch";
-            break;
-        case SimulationEngine::kAdaptive:
-            requested = "kAdaptive";
-            break;
-    }
-    require(false, std::string(entry_point) + ": options.engine requests " + requested +
-                       ", which this entry point does not run; call run_simulation to "
-                       "dispatch on the field, or leave it kAuto");
-}
-
 namespace {
 
 // Serialized checkpoint grammar (one key per line, space-separated values):
@@ -252,6 +227,9 @@ RunCheckpoint read_checkpoint(std::istream& in) {
         parser.fail("engine 'scheduler' was removed with simulate_with_scheduler; "
                     "run round-robin and sweep pairing through run_scenario "
                     "(trace_run --model round_robin|sweep)");
+    if (engine_name == "adaptive")
+        parser.fail("engine 'adaptive' is not a checkpoint engine; adaptive checkpoints carry "
+                    "the segment engine (count_batch or collapsed) plus an 'adaptive' line");
     if (!observed_engine_from_name(engine_name, checkpoint.engine))
         parser.fail("unknown engine '" + engine_name + "'");
     parser.end_line();

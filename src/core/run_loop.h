@@ -2,9 +2,9 @@
 //
 // The fairness model of the paper (Sect. 2, and the conjugating-automata
 // randomized scheduler of Sect. 6) is *one* semantics with several samplers:
-// uniform agent pairs (simulate), the count-based multiset sampler
-// (simulate_counts), the collapsed super-step sampler (simulate_collapsed),
-// weighted pairs (simulate_weighted), uniform edges on a restricted graph
+// uniform agent pairs, the count-based multiset sampler and the collapsed
+// super-step sampler (the engines of run_simulation), weighted pairs
+// (simulate_weighted), uniform edges on a restricted graph
 // (simulate_on_graph), and the named pairing models of run_scenario
 // (round-robin, sweep, adversarial, ...).  Everything those loops used to
 // duplicate — the interaction budget, the periodic silence check and its
@@ -78,12 +78,6 @@ std::uint64_t resolved_silence_check_period(const RunOptions& options,
 bool multiset_silent(const TabulatedProtocol& protocol,
                      const std::vector<std::uint64_t>& counts);
 
-/// Throws unless options.engine is kAuto or `accepted`; `entry_point` names
-/// the caller in the message.  Pass kAuto as `accepted` for engines that
-/// have no SimulationEngine value (weighted, graph, scenario models).
-void require_engine_field(const RunOptions& options, SimulationEngine accepted,
-                          const char* entry_point);
-
 // ---------------------------------------------------------------------------
 // Checkpoints
 
@@ -117,13 +111,14 @@ struct RunCheckpoint {
     bool has_pending_skip = false;
     std::uint64_t pending_null_skips = 0;
 
-    /// Phase-adaptive dispatcher section (simulate_adaptive): the engine
-    /// monitor's mutable state at the cut, so a resumed adaptive run replays
-    /// its switch decisions exactly.  `engine` still names the concrete
-    /// segment engine (count_batch or collapsed) that wrote the checkpoint —
-    /// static-engine resumes of an adaptive checkpoint remain legal and the
-    /// section is simply ignored there.  Thresholds are not captured; the
-    /// caller re-supplies RunOptions::adaptive like the seed.
+    /// Phase-adaptive dispatcher section (SimulationEngine::kAdaptive): the
+    /// engine monitor's mutable state at the cut, so a resumed adaptive run
+    /// replays its switch decisions exactly; run_simulation's kAuto resumes a
+    /// checkpoint with this section on the dispatcher.  `engine` still names
+    /// the concrete segment engine (count_batch or collapsed) that wrote the
+    /// checkpoint — static-engine resumes of an adaptive checkpoint remain
+    /// legal and the section is simply ignored there.  Thresholds are not
+    /// captured; the caller re-supplies RunOptions::adaptive like the seed.
     bool adaptive = false;
     std::uint64_t adaptive_switches = 0;
     std::uint64_t adaptive_last_switch = 0;
@@ -138,10 +133,10 @@ struct RunCheckpoint {
     std::string interaction_model;
     std::vector<std::uint64_t> model_state;
 
-    /// Multiset configuration (count engines: simulate_counts).
+    /// Multiset configuration (count engines: count_batch, collapsed).
     std::vector<std::uint64_t> counts;
-    /// Per-agent configuration (agent engines: simulate, simulate_weighted,
-    /// simulate_on_graph).
+    /// Per-agent configuration (agent engines: agent_array, simulate_weighted,
+    /// simulate_on_graph, run_scenario).
     std::vector<State> agent_states;
 
     friend bool operator==(const RunCheckpoint&, const RunCheckpoint&) = default;
@@ -230,7 +225,7 @@ struct BatchOutcome {
     /// Some executed interaction changed the multiset of outputs.  The
     /// kernel stamps last_output_change at the *end* of the super-step (the
     /// exact interaction index inside the batch is not resolved — a
-    /// documented coarsening; see collapsed_simulator.h).
+    /// documented coarsening; see collapsed_simulator.cpp).
     bool output_changed = false;
 };
 
@@ -316,7 +311,7 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
 
 /// Drives `stepper` under the full run policy and returns the result.
 /// `entry_point` names the public API for error messages.  `switch_monitor`
-/// is the phase-adaptive dispatcher's per-segment monitor (simulate_adaptive
+/// is the phase-adaptive dispatcher's per-segment monitor (run_adaptive
 /// passes it; every other caller leaves it null): the kernel polls it at
 /// loop boundaries and stamps its state into every checkpoint.
 template <Stepper S>
@@ -339,8 +334,7 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
            where + ": a switch monitor requires a checkpoint_sink");
 
     Rng rng(options.seed);
-    RunResult result{CountConfiguration(protocol.num_states()), StopReason::kBudget, 0, 0, 0,
-                     std::nullopt};
+    RunResult result{CountConfiguration(protocol.num_states())};
     result.engine = S::kEngine;
 
     // Performance probes.  A null collector (the default) costs one

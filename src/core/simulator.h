@@ -6,13 +6,17 @@
 // protocol that stably computes a predicate converges to the correct answer
 // along almost every run; the simulator additionally measures *when*.
 //
-// All engines (this file, batch_simulator.h, collapsed_simulator.h,
-// adaptive_simulator.h, graphs/graph_simulation.h and
-// scenarios/scenario_spec.h) share one run-loop kernel (core/run_loop.h)
-// that owns every piece of run policy: the interaction budget, the periodic
-// silence check, the stable-output window, observer dispatch, geometric-skip
-// clamping at snapshot boundaries, and deterministic checkpoint/resume.  The
-// entry points only differ in how the next interaction is sampled.
+// That one process has four samplers — the agent-array, count-batch,
+// collapsed and phase-adaptive engines — and one door to them:
+// run_simulation (batch_simulator.h), which picks the sampler from
+// RunOptions::engine.  Three more entry points run other pairing laws:
+// simulate_weighted (below), simulate_on_graph (graphs/graph_simulation.h)
+// and run_scenario (scenarios/scenario_spec.h).  All of them share one
+// run-loop kernel (core/run_loop.h) that owns every piece of run policy: the
+// interaction budget, the periodic silence check, the stable-output window,
+// observer dispatch, geometric-skip clamping at snapshot boundaries, and
+// deterministic checkpoint/resume.  The engines only differ in how the next
+// interaction is sampled.
 
 #ifndef POPPROTO_CORE_SIMULATOR_H
 #define POPPROTO_CORE_SIMULATOR_H
@@ -22,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "core/configuration.h"
 #include "core/engine_monitor.h"
@@ -39,21 +44,17 @@ class RunTelemetryCollector;
 class CheckpointSink;
 struct RunCheckpoint;
 
-/// Which execution engine carries out a run on the complete graph.
-///
-/// Resolution contract (the historical footgun — direct `simulate` /
-/// `simulate_counts` calls silently ignoring the field — is gone): every
-/// entry point now *checks* the field.  `run_simulation` dispatches on it
-/// (`kAuto` selects the reference agent-array engine); the direct entry
-/// points accept `kAuto` (the default) or their own value and throw on a
-/// mismatch, so a RunOptions that asks for the batch engine can never be
-/// executed by the agent-array loop unnoticed.  Engines without an enum
-/// value (weighted, graph, scenario models) require `kAuto`.
+/// Which of the four complete-graph samplers run_simulation uses.  Every
+/// engine samples the same process; they differ in cost and in which RNG
+/// stream a seed selects.  The other entry points (simulate_weighted,
+/// simulate_on_graph, run_scenario) pick their own sampler and refuse any
+/// value but kAuto.
 enum class SimulationEngine {
-    /// Defer to the call site: `run_simulation` selects by population size
-    /// (agent array below kAutoCountBatchThreshold, count-batch up to
-    /// kAutoCollapsedThreshold, the phase-adaptive dispatcher beyond), and
-    /// each direct entry point runs itself.
+    /// Let run_simulation choose.  A fresh run is placed by population size:
+    /// the agent array below kAutoCountBatchThreshold, count-batch up to
+    /// kAutoCollapsedThreshold, the phase-adaptive dispatcher beyond.  A run
+    /// resumed from a checkpoint goes to the engine that wrote it (the
+    /// adaptive dispatcher when the checkpoint has an `adaptive` section).
     kAuto,
     /// Expanded agent array, one RNG draw per agent per interaction.  The
     /// reference implementation: O(n) memory, O(1) per interaction.
@@ -63,22 +64,27 @@ enum class SimulationEngine {
     /// exact geometric jumps.  O(|Q|) memory, O(|Q|) per *effective*
     /// interaction; the distribution of observables is identical.
     kCountBatch,
-    /// Collapsed super-step engine (collapsed_simulator.h): processes the
+    /// Collapsed super-step engine (collapsed_simulator.cpp): processes the
     /// maximal collision-free run of ~sqrt(n) interactions in one O(|Q|^2)
     /// super-step of exact hypergeometric count splits — amortized
     /// O(|Q|^2 / sqrt(n)) per interaction.  Equivalence with the other
     /// engines is distributional (super-steps also make the *pathwise*
     /// trajectory sensitive to snapshot/checkpoint boundary placement; see
-    /// collapsed_simulator.h).
+    /// collapsed_simulator.cpp).
     kCollapsedBatch,
-    /// Phase-adaptive dispatcher (adaptive_simulator.h): starts on whichever
-    /// of collapsed / count-batch the initial density favours and switches
-    /// mid-run as the effective-interaction fraction crosses the hysteresis
-    /// thresholds in RunOptions::adaptive — a checkpoint-shaped state
-    /// transfer at a loop boundary, bit-identical to a manual splice at the
-    /// same index.
+    /// Phase-adaptive dispatcher (adaptive_simulator.cpp): starts on
+    /// whichever of collapsed / count-batch the initial density favours and
+    /// switches mid-run as the effective-interaction fraction crosses the
+    /// hysteresis thresholds in RunOptions::adaptive — a checkpoint-shaped
+    /// state transfer at a loop boundary, bit-identical to a manual splice
+    /// at the same index.
     kAdaptive,
 };
+
+/// The engine-name table shared by the CLI, the service and the benches:
+/// "auto" | "agent" | "batch" | "collapsed" | "adaptive".  Throws
+/// std::invalid_argument naming the accepted names for anything else.
+SimulationEngine parse_engine_name(const std::string& name);
 
 /// `run_simulation` auto-selection crossovers (populations at or above the
 /// threshold use the faster engine).  Chosen from bench_throughput /
@@ -89,7 +95,7 @@ enum class SimulationEngine {
 /// geometric jumps win on sparse tails).  At or above
 /// kAutoCollapsedThreshold the regime *within* a run matters more than its
 /// size, so kAuto hands those runs to the phase-adaptive dispatcher
-/// (adaptive_simulator.h), which starts on whichever side the initial
+/// (adaptive_simulator.cpp), which starts on whichever side the initial
 /// density favours and re-decides at runtime.
 inline constexpr std::uint64_t kAutoCountBatchThreshold = std::uint64_t{1} << 12;
 inline constexpr std::uint64_t kAutoCollapsedThreshold = std::uint64_t{1} << 20;
@@ -116,7 +122,7 @@ struct RunOptions {
     /// checkpoint carries the exact RNG stream position instead).
     std::uint64_t seed = 1;
 
-    /// Engine selection; see the SimulationEngine resolution contract.
+    /// Which complete-graph engine run_simulation uses (see SimulationEngine).
     SimulationEngine engine = SimulationEngine::kAuto;
 
     /// Run-trace instrumentation hook (core/observer.h); borrowed, may be
@@ -160,7 +166,7 @@ struct RunOptions {
     /// checkpoint a checkpoint_every boundary at that index would deliver,
     /// so chained pause/resume segments are bit-identical to the
     /// uninterrupted run (super-step engines: to a run checkpointed at the
-    /// same boundaries; see collapsed_simulator.h).  Requires
+    /// same boundaries; see collapsed_simulator.cpp).  Requires
     /// `checkpoint_sink`, and must lie strictly beyond the resume point.
     /// A run that terminates (silent / stable outputs / budget) before the
     /// pause index simply reports its terminal result.
@@ -222,6 +228,13 @@ enum class StopReason {
     kPaused,
 };
 
+/// Stable name of a stop reason ("silent", "stable_outputs", "budget",
+/// "paused"), shared by the JSONL trace, the service wire and its manifests.
+const char* stop_reason_name(StopReason reason);
+
+/// Inverse of `stop_reason_name`; returns false for an unknown name.
+bool stop_reason_from_name(const std::string& name, StopReason& reason);
+
 /// Outcome of a simulated execution.
 struct RunResult {
     CountConfiguration final_configuration;
@@ -239,24 +252,18 @@ struct RunResult {
     std::uint64_t last_output_change = 0;
 
     /// Consensus output of the final configuration, if all agents agree.
-    std::optional<Symbol> consensus;
+    std::optional<Symbol> consensus = std::nullopt;
 
     /// Which engine actually executed the run — `run_simulation`'s kAuto
-    /// dispatch reports its size-based choice here (every entry point fills
-    /// the field, so it is also a cross-check for pinned engines).
+    /// dispatch reports its choice here (every entry point fills the field,
+    /// so it is also a cross-check for pinned engines).
     ObservedEngine engine = ObservedEngine::kAgentArray;
 
     /// Finished performance telemetry when RunOptions::telemetry was set
     /// (phase timers, super-step/skip accounting, adaptive segments);
     /// nullptr otherwise.  Shared with the collector, so it outlives both.
-    std::shared_ptr<const telemetry::RunTelemetry> telemetry;
+    std::shared_ptr<const telemetry::RunTelemetry> telemetry = nullptr;
 };
-
-/// Simulates `protocol` from `initial` under uniform random pairing.
-/// Requires a population of at least 2 agents and
-/// options.engine in {kAuto, kAgentArray}.
-RunResult simulate(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                   const RunOptions& options);
 
 /// A generous default interaction budget for experiments expecting
 /// Theta(n^2 log n) convergence: `factor * n^2 * (ln n + 1)`.  This is the
@@ -266,7 +273,8 @@ std::uint64_t default_budget(std::uint64_t population, double factor = 64.0);
 
 /// Weighted sampling (the Sect. 8 open direction): the ordered pair (i, j),
 /// i != j, interacts with probability proportional to
-/// weights[i] * weights[j].  Uniform weights reduce to `simulate`.  The
+/// weights[i] * weights[j].  Uniform weights reduce to the agent-array
+/// engine of run_simulation.  The
 /// paper conjectures that reasonable weights do not change computational
 /// power; bench_weighted_sampling probes this empirically.  `initial` fixes
 /// per-agent states (weights are per agent, so agents are not anonymous

@@ -122,7 +122,9 @@ GraphRunResult simulate_on_graph(const TabulatedProtocol& protocol, const Intera
     require(inputs.size() == graph.num_agents(),
             "simulate_on_graph: one input per agent required");
     require(!graph.edges().empty(), "simulate_on_graph: graph has no edges");
-    require_engine_field(options, SimulationEngine::kAuto, "simulate_on_graph");
+    require(options.engine == SimulationEngine::kAuto,
+            "simulate_on_graph: options.engine must be kAuto (it selects a complete-graph "
+            "engine of run_simulation)");
 
     // Pair selection lives in the shared InteractionModel layer: uniform
     // directed-edge activation is EdgeListPairModel, and the one PairStepper

@@ -8,18 +8,18 @@
 // initial density, find the earliest fluid time where the adaptive
 // monitor's signal x = rho * E[L] drops to the collapsed-exit threshold
 // (rho evaluated on the fluid densities), draw one multinomial sample of n
-// agents from the predicted density there, and hand simulate_adaptive a
-// synthetic count-batch checkpoint at interaction index round(n * t).  The
-// stochastic simulation then runs only the sparse tail — the part where
-// sample-path fluctuations actually decide the outcome.
+// agents from the predicted density there, and hand the adaptive
+// dispatcher a synthetic count-batch checkpoint at interaction index
+// round(n * t).  The stochastic simulation then runs only the sparse tail —
+// the part where sample-path fluctuations actually decide the outcome.
 //
 // This is an explicit approximation, wired as an opt-in hook
 // (RunOptions::fluid_assist, empty by default) rather than a default: a
 // fluid-assisted run is NOT bit-identical to — nor even an exact sample
 // path of — the unassisted law (fluctuations of the transient are
 // discarded; the fast-forwarded interaction/effective counters are
-// estimates).  Every bit-identity guarantee of simulate_adaptive is stated
-// for an empty fluid_assist.
+// estimates).  Every bit-identity guarantee of the adaptive dispatcher is
+// stated for an empty fluid_assist.
 
 #ifndef POPPROTO_MEANFIELD_FLUID_ASSIST_H
 #define POPPROTO_MEANFIELD_FLUID_ASSIST_H

@@ -94,20 +94,6 @@ std::string telemetry_line(const telemetry::RunTelemetry& data) {
     return line.str();
 }
 
-const char* stop_reason_name(StopReason reason) {
-    switch (reason) {
-        case StopReason::kSilent:
-            return "silent";
-        case StopReason::kStableOutputs:
-            return "stable_outputs";
-        case StopReason::kBudget:
-            return "budget";
-        case StopReason::kPaused:
-            return "paused";
-    }
-    return "unknown";
-}
-
 }  // namespace
 
 JsonlTraceWriter::JsonlTraceWriter(std::ostream& out) : out_(&out) {}

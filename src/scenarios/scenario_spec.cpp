@@ -52,7 +52,9 @@ RunResult run_scenario(const TabulatedProtocol& protocol, const CountConfigurati
             "run_scenario: configuration does not match protocol");
     const std::uint64_t n = initial.population_size();
     require(n >= 2, "run_scenario: need at least two agents");
-    require_engine_field(options, SimulationEngine::kAuto, "run_scenario");
+    require(options.engine == SimulationEngine::kAuto,
+            "run_scenario: options.engine must be kAuto (it selects a complete-graph engine "
+            "of run_simulation)");
 
     if (spec.model == "round_robin")
         return run_with_model<RoundRobinPairModel, /*kExactSilence=*/true>(

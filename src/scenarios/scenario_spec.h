@@ -56,9 +56,9 @@ const std::vector<std::string>& scenario_model_names();
 InteractionGraph make_named_topology(const std::string& name, std::uint32_t num_agents);
 
 /// Runs `protocol` from `initial` under the pairing model described by
-/// `spec`.  Stopping rules are as in `simulate`; dynamic-graph runs never
-/// test silence (restricted edge sets) and rely on output stability or the
-/// budget, like simulate_on_graph.  Requires options.engine == kAuto and a
+/// `spec`.  Stopping rules are as in run_simulation; dynamic-graph runs
+/// never test silence (restricted edge sets) and rely on output stability or
+/// the budget, like simulate_on_graph.  Requires options.engine == kAuto and a
 /// population of at least 2.  The sweep model's private shuffle stream is
 /// seeded from options.seed (it never consumes the kernel stream, so the
 /// two never interleave).

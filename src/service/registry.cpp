@@ -15,28 +15,6 @@ namespace popproto::service {
 
 namespace {
 
-StopReason parse_stop_reason_name(const std::string& name) {
-    if (name == "silent") return StopReason::kSilent;
-    if (name == "stable_outputs") return StopReason::kStableOutputs;
-    if (name == "budget") return StopReason::kBudget;
-    if (name == "paused") return StopReason::kPaused;
-    throw std::invalid_argument("unknown stop reason \"" + name + "\"");
-}
-
-const char* stop_reason_manifest_name(StopReason reason) {
-    switch (reason) {
-        case StopReason::kSilent:
-            return "silent";
-        case StopReason::kStableOutputs:
-            return "stable_outputs";
-        case StopReason::kBudget:
-            return "budget";
-        case StopReason::kPaused:
-            return "paused";
-    }
-    return "unknown";
-}
-
 SessionState parse_session_state_name(const std::string& name) {
     if (name == "queued") return SessionState::kQueued;
     if (name == "suspended") return SessionState::kSuspended;
@@ -137,20 +115,13 @@ RunRegistry::~RunRegistry() {
 }
 
 std::string RunRegistry::submit(const SessionSpec& spec) {
-    // Validate eagerly: instantiate the protocol and initial configuration
-    // now so a bad submit fails at the wire, not inside a worker.
+    // Validate eagerly: check the spec and instantiate the protocol and
+    // initial configuration now so a bad submit fails at the wire, not
+    // inside a worker.
+    validate_session_spec(spec);
     std::unique_ptr<TabulatedProtocol> protocol = build_protocol(spec);
     const CountConfiguration initial = build_initial(*protocol, spec);
     require(initial.population_size() >= 2, "submit: population must be at least 2");
-    parse_engine_name(spec.engine);
-    if (spec.model != "uniform") {
-        const std::vector<std::string>& names = scenario_model_names();
-        require(std::find(names.begin(), names.end(), spec.model) != names.end(),
-                "submit: unknown model \"" + spec.model + "\"");
-        require(spec.engine == "auto", "submit: non-uniform models require engine \"auto\"");
-        if (spec.model == "dynamic_graph")
-            require(!spec.phases.empty(), "submit: dynamic_graph requires phases");
-    }
 
     std::unique_lock<std::mutex> lock(mutex_);
     require(!draining_ && !stopping_, "submit: registry is draining");
@@ -422,8 +393,7 @@ RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
         // telemetry) is identical because both paths share the run-loop
         // kernel.
         if (session.spec.model != "uniform")
-            outcome.result = run_scenario(*session.protocol, initial,
-                                          scenario_spec_from(session.spec), options);
+            outcome.result = run_scenario(*session.protocol, initial, session.spec, options);
         else
             outcome.result = run_simulation(*session.protocol, initial, options);
     } catch (const std::exception& error) {
@@ -547,7 +517,7 @@ std::string RunRegistry::manifest_json(const Session& session) const {
     if (session.stop_reason)
         object.emplace_back(
             "stop_reason",
-            JsonValue(std::string(stop_reason_manifest_name(*session.stop_reason))));
+            JsonValue(std::string(stop_reason_name(*session.stop_reason))));
     if (session.consensus)
         object.emplace_back("consensus", JsonValue(std::uint64_t{*session.consensus}));
     if (!session.error.empty()) object.emplace_back("error", JsonValue(session.error));
@@ -651,8 +621,13 @@ void RunRegistry::restore_one(const std::string& id, const std::string& manifest
         session->last_output_change = value->as_u64("'last_output_change'");
     if (const JsonValue* value = parsed.find("quanta"))
         session->quanta = value->as_u64("'quanta'");
-    if (const JsonValue* value = parsed.find("stop_reason"))
-        session->stop_reason = parse_stop_reason_name(value->as_string("'stop_reason'"));
+    if (const JsonValue* value = parsed.find("stop_reason")) {
+        const std::string name = value->as_string("'stop_reason'");
+        StopReason reason = StopReason::kBudget;
+        if (!stop_reason_from_name(name, reason))
+            throw std::invalid_argument("unknown stop reason \"" + name + "\"");
+        session->stop_reason = reason;
+    }
     if (const JsonValue* value = parsed.find("consensus"))
         session->consensus = static_cast<Symbol>(value->as_u64("'consensus'"));
     if (const JsonValue* value = parsed.find("error"))

@@ -73,19 +73,7 @@ SessionSpec parse_session_spec(const JsonValue& object) {
 
     // Validate the cross-field contract eagerly, so a bad submit fails at
     // the wire instead of inside a worker quantum.
-    parse_engine_name(spec.engine);
-    if (spec.protocol == "predicate")
-        require(!spec.predicate.empty(), "protocol \"predicate\" requires 'predicate'");
-    if (spec.model != "uniform") {
-        const std::vector<std::string>& names = scenario_model_names();
-        require(std::find(names.begin(), names.end(), spec.model) != names.end(),
-                "unknown model \"" + spec.model +
-                    "\" (uniform, round_robin, sweep, adversarial, dynamic_graph, "
-                    "grid_mobility)");
-        require(spec.engine == "auto", "'model' other than uniform requires engine \"auto\"");
-        if (spec.model == "dynamic_graph")
-            require(!spec.phases.empty(), "model \"dynamic_graph\" requires 'phases'");
-    }
+    validate_session_spec(spec);
     return spec;
 }
 
@@ -156,26 +144,18 @@ CountConfiguration build_initial(const TabulatedProtocol& protocol, const Sessio
     return CountConfiguration::from_input_counts(protocol, counts);
 }
 
-ScenarioSpec scenario_spec_from(const SessionSpec& spec) {
-    ScenarioSpec scenario;
-    scenario.model = spec.model;
-    scenario.probe = spec.probe;
-    scenario.phases = spec.phases;
-    scenario.phase_length = spec.phase_length;
-    scenario.torus_width = spec.torus_width;
-    scenario.torus_height = spec.torus_height;
-    scenario.radius = spec.radius;
-    return scenario;
-}
-
-SimulationEngine parse_engine_name(const std::string& name) {
-    if (name == "auto") return SimulationEngine::kAuto;
-    if (name == "agent") return SimulationEngine::kAgentArray;
-    if (name == "batch") return SimulationEngine::kCountBatch;
-    if (name == "collapsed") return SimulationEngine::kCollapsedBatch;
-    if (name == "adaptive") return SimulationEngine::kAdaptive;
-    throw std::invalid_argument("unknown engine \"" + name +
-                                "\" (auto|agent|batch|collapsed|adaptive)");
+void validate_session_spec(const SessionSpec& spec) {
+    parse_engine_name(spec.engine);
+    if (spec.protocol == "predicate")
+        require(!spec.predicate.empty(), "protocol \"predicate\" requires 'predicate'");
+    if (spec.model == "uniform") return;
+    const std::vector<std::string>& names = scenario_model_names();
+    require(std::find(names.begin(), names.end(), spec.model) != names.end(),
+            "unknown model \"" + spec.model +
+                "\" (uniform, round_robin, sweep, adversarial, dynamic_graph, grid_mobility)");
+    require(spec.engine == "auto", "'model' other than uniform requires engine \"auto\"");
+    if (spec.model == "dynamic_graph")
+        require(!spec.phases.empty(), "model \"dynamic_graph\" requires 'phases'");
 }
 
 const char* session_state_name(SessionState state) {
@@ -198,24 +178,6 @@ const char* session_state_name(SessionState state) {
     return "unknown";
 }
 
-namespace {
-
-const char* stop_reason_wire_name(StopReason reason) {
-    switch (reason) {
-        case StopReason::kSilent:
-            return "silent";
-        case StopReason::kStableOutputs:
-            return "stable_outputs";
-        case StopReason::kBudget:
-            return "budget";
-        case StopReason::kPaused:
-            return "paused";
-    }
-    return "unknown";
-}
-
-}  // namespace
-
 JsonValue session_status_to_json(const SessionStatus& status) {
     JsonValue::Object object;
     object.emplace_back("session", JsonValue(status.id));
@@ -226,7 +188,7 @@ JsonValue session_status_to_json(const SessionStatus& status) {
     object.emplace_back("quanta", JsonValue(status.quanta));
     if (status.stop_reason) {
         object.emplace_back(
-            "stop_reason", JsonValue(std::string(stop_reason_wire_name(*status.stop_reason))));
+            "stop_reason", JsonValue(std::string(stop_reason_name(*status.stop_reason))));
         object.emplace_back("last_output_change", JsonValue(status.last_output_change));
         if (status.consensus)
             object.emplace_back("consensus", JsonValue(std::uint64_t{*status.consensus}));

@@ -36,7 +36,17 @@ namespace popproto::service {
 
 /// What to simulate — the validated payload of a `submit` request, and the
 /// part of a session that survives eviction and daemon restarts verbatim.
-struct SessionSpec {
+///
+/// The pairing discipline is the ScenarioSpec base: `model` is "uniform"
+/// (the classic scheduler, dispatched via run_simulation) or one of
+/// scenario_model_names() ("round_robin", "sweep", "adversarial",
+/// "dynamic_graph", "grid_mobility"), dispatched via run_scenario with this
+/// spec; the other ScenarioSpec fields are that model's parameters.
+/// Non-uniform models require engine == "auto".  On the wire the fields
+/// stay flat ("model", "probe", "phases", ...).
+struct SessionSpec : ScenarioSpec {
+    SessionSpec() { model = "uniform"; }
+
     /// One of "epidemic", "counting", "majority", "predicate".
     std::string protocol = "epidemic";
 
@@ -51,30 +61,10 @@ struct SessionSpec {
     /// Agents per input symbol (CountConfiguration::from_input_counts).
     std::vector<std::uint64_t> counts;
 
-    /// "auto" | "agent" | "batch" | "collapsed" | "adaptive" (run_simulation
-    /// dispatch; "adaptive" switches batch <-> collapsed mid-run).
+    /// "auto" | "agent" | "batch" | "collapsed" | "adaptive"
+    /// (parse_engine_name; run_simulation dispatch, "adaptive" switches
+    /// batch <-> collapsed mid-run).
     std::string engine = "auto";
-
-    /// Pairing discipline: "uniform" (the classic scheduler, dispatched via
-    /// run_simulation) or one of scenario_model_names() ("round_robin",
-    /// "sweep", "adversarial", "dynamic_graph", "grid_mobility"), dispatched
-    /// via run_scenario.  Non-uniform models require engine == "auto".
-    std::string model = "uniform";
-
-    /// adversarial: per-step look-ahead for null interactions.
-    std::uint64_t probe = 16;
-
-    /// dynamic_graph: named phase topologies ("complete", "ring", "line",
-    /// "star"); required non-empty for that model.
-    std::vector<std::string> phases;
-    /// dynamic_graph: interactions per phase (0 resolves to 4n).
-    std::uint64_t phase_length = 0;
-
-    /// grid_mobility: torus dimensions (0 = auto-size) and Chebyshev
-    /// contact radius.
-    std::uint64_t torus_width = 0;
-    std::uint64_t torus_height = 0;
-    std::uint64_t radius = 1;
 
     std::uint64_t seed = 1;
 
@@ -105,8 +95,9 @@ struct SessionSpec {
 };
 
 /// Parses/serializes a spec for the wire protocol and spill manifests.
-/// `parse_session_spec` validates types and ranges and throws
-/// std::invalid_argument naming the offending field.
+/// `parse_session_spec` validates types and ranges (and calls
+/// validate_session_spec) and throws std::invalid_argument naming the
+/// offending field.
 SessionSpec parse_session_spec(const JsonValue& object);
 JsonValue session_spec_to_json(const SessionSpec& spec);
 
@@ -117,13 +108,11 @@ JsonValue session_spec_to_json(const SessionSpec& spec);
 std::unique_ptr<TabulatedProtocol> build_protocol(const SessionSpec& spec);
 CountConfiguration build_initial(const TabulatedProtocol& protocol, const SessionSpec& spec);
 
-/// Maps the spec's engine string onto RunOptions::engine; throws on an
-/// unknown name.
-SimulationEngine parse_engine_name(const std::string& name);
-
-/// Projects the spec's scenario fields onto a run_scenario ScenarioSpec
-/// (meaningful only when spec.model != "uniform").
-ScenarioSpec scenario_spec_from(const SessionSpec& spec);
+/// The cross-field contract of a spec, checked at the wire and again at
+/// RunRegistry::submit (which also takes specs built in code): a known
+/// engine name, predicate text for protocol "predicate", a known model,
+/// engine "auto" for non-uniform models, and phases for dynamic_graph.  Throws std::invalid_argument naming the field.
+void validate_session_spec(const SessionSpec& spec);
 
 /// Session lifecycle states (see the file comment for the machine).
 enum class SessionState {

@@ -113,6 +113,8 @@ void RunTelemetryCollector::reset() {
     // result may still be shared via RunResult::telemetry.
     data_ = std::make_shared<RunTelemetry>();
     registry_.clear();
+    skip_lengths_ = nullptr;
+    super_step_pairs_ = nullptr;
     live_interactions_.store(0, std::memory_order_relaxed);
     running_ = false;
     adaptive_scope_ = false;
@@ -137,6 +139,9 @@ void RunTelemetryCollector::begin_run(const char* engine, std::uint64_t populati
     data_->engine = engine;
     data_->population = population;
     data_->spans.reserve(std::min<std::size_t>(max_spans_, 4096));
+    // reset() cleared the registry, so the instruments are resolved afresh.
+    skip_lengths_ = &registry_.histogram("null_skip_length_log2");
+    super_step_pairs_ = &registry_.histogram("super_step_pairs_log2");
     running_ = true;
 }
 
@@ -221,7 +226,7 @@ void RunTelemetryCollector::record_skip(std::uint64_t length) {
     if constexpr (!kCompiledIn) return;
     ++data_->geometric_skips;
     data_->null_interactions_skipped += length;
-    registry_.histogram("null_skip_length_log2").record(length);
+    skip_lengths_->record(length);
 }
 
 void RunTelemetryCollector::record_super_step(std::uint64_t pairs, bool clamped) {
@@ -229,7 +234,7 @@ void RunTelemetryCollector::record_super_step(std::uint64_t pairs, bool clamped)
     ++data_->super_steps;
     if (clamped) ++data_->clamped_super_steps;
     data_->super_step_pairs += pairs;
-    registry_.histogram("super_step_pairs_log2").record(pairs);
+    super_step_pairs_->record(pairs);
 }
 
 namespace {

@@ -256,13 +256,13 @@ public:
     void begin_run(const char* engine, std::uint64_t population);
     void finish_run(std::uint64_t interactions, std::uint64_t effective_interactions);
 
-    /// Adaptive-run scope (simulate_adaptive).  The driver brackets the
-    /// whole run with begin_adaptive_run / finish_adaptive_run; in between,
-    /// each engine segment's run_loop still calls begin_run / finish_run,
-    /// which the scope downgrades to *segment* boundaries: the epoch, phase
-    /// stats, and counters accumulate across segments, and each inner
-    /// finish_run closes one RunTelemetry::engine_segments entry instead of
-    /// finalizing.  `start_interactions` is the resume point (nonzero when
+    /// Adaptive-run scope (the phase-adaptive dispatcher).  The driver
+    /// brackets the whole run with begin_adaptive_run / finish_adaptive_run;
+    /// in between, each engine segment's run_loop still calls begin_run /
+    /// finish_run, which the scope downgrades to *segment* boundaries: the
+    /// epoch, phase stats, and counters accumulate across segments, and each
+    /// inner finish_run closes one RunTelemetry::engine_segments entry
+    /// instead of finalizing.  `start_interactions` is the resume point (nonzero when
     /// the adaptive run itself resumed from a checkpoint), so segment
     /// interaction attribution stays exact across suspends.
     void begin_adaptive_run(std::uint64_t population, std::uint64_t start_interactions);
@@ -313,6 +313,10 @@ private:
     std::shared_ptr<RunTelemetry> data_;
     std::atomic<std::uint64_t> live_interactions_{0};
     TelemetryRegistry registry_;
+    // The per-skip / per-super-step histograms, resolved once per run (the
+    // registry lookup takes its mutex and scans the names).
+    LogHistogram* skip_lengths_ = nullptr;
+    LogHistogram* super_step_pairs_ = nullptr;
     bool running_ = false;
     // Adaptive-run scope state (see begin_adaptive_run).
     bool adaptive_scope_ = false;

@@ -9,8 +9,12 @@
 #include "core/simulator.h"
 #include "protocols/counting.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 /// The "epidemic war" protocol: R converts S and S converts R, depending on
 /// who initiates.  With r agents in state R out of n, the count of R is a
@@ -115,7 +119,8 @@ TEST(Absorption, AgreesWithMonteCarloOnWar) {
         RunOptions options;
         options.max_interactions = 1u << 20;
         options.seed = 50 + trial;
-        const RunResult result = simulate(*protocol, initial, options);
+        const RunResult result = run_engine(SimulationEngine::kAgentArray,
+                                            *protocol, initial, options);
         if (result.final_configuration.count(0) == n) ++all_r;
     }
     const double observed = static_cast<double>(all_r) / trials;

@@ -9,9 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/adaptive_simulator.h"
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/configuration.h"
 #include "core/engine_monitor.h"
 #include "core/observer.h"
@@ -21,8 +19,12 @@
 #include "protocols/epidemic.h"
 #include "telemetry/telemetry.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 class CollectingSink final : public CheckpointSink {
 public:
@@ -53,7 +55,6 @@ constexpr std::uint64_t kPopulation = 1 << 14;
 
 RunOptions adaptive_options(std::uint64_t seed) {
     RunOptions options;
-    options.engine = SimulationEngine::kAdaptive;
     options.seed = seed;
     return options;
 }
@@ -70,7 +71,7 @@ TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
     SwitchRecorder recorder;
     RunOptions options = adaptive_options(7);
     options.observer = &recorder;
-    const RunResult adaptive = simulate_adaptive(*protocol, initial, options);
+    const RunResult adaptive = run_engine(SimulationEngine::kAdaptive, *protocol, initial, options);
     EXPECT_EQ(adaptive.engine, ObservedEngine::kAdaptive);
     EXPECT_EQ(adaptive.stop_reason, StopReason::kSilent);
     // Full epidemic: sparse tail on both ends of the dense transient.
@@ -87,10 +88,9 @@ TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
     CollectingSink sink;
     RunOptions manual;
     manual.seed = 7;
-    manual.engine = SimulationEngine::kCountBatch;
     manual.pause_after = recorder.switches[0].interactions;
     manual.checkpoint_sink = &sink;
-    const RunResult leg1 = simulate_counts(*protocol, initial, manual);
+    const RunResult leg1 = run_engine(SimulationEngine::kCountBatch, *protocol, initial, manual);
     ASSERT_EQ(leg1.stop_reason, StopReason::kPaused);
     ASSERT_FALSE(sink.checkpoints.empty());
     RunCheckpoint cut = sink.checkpoints.back();
@@ -99,10 +99,10 @@ TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
     // ...transfer to collapsed, run to the second switch index...
     transfer_checkpoint_engine(cut, ObservedEngine::kCollapsed);
     sink.checkpoints.clear();
-    manual.engine = SimulationEngine::kCollapsedBatch;
     manual.resume_from = &cut;
     manual.pause_after = recorder.switches[1].interactions;
-    const RunResult leg2 = simulate_collapsed(*protocol, initial, manual);
+    const RunResult leg2 = run_engine(SimulationEngine::kCollapsedBatch,
+                                      *protocol, initial, manual);
     ASSERT_EQ(leg2.stop_reason, StopReason::kPaused);
     ASSERT_FALSE(sink.checkpoints.empty());
     RunCheckpoint cut2 = sink.checkpoints.back();
@@ -110,11 +110,10 @@ TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
 
     // ...transfer back to count-batch and finish.
     transfer_checkpoint_engine(cut2, ObservedEngine::kCountBatch);
-    manual.engine = SimulationEngine::kCountBatch;
     manual.resume_from = &cut2;
     manual.pause_after = 0;
     manual.checkpoint_sink = nullptr;
-    const RunResult tail = simulate_counts(*protocol, initial, manual);
+    const RunResult tail = run_engine(SimulationEngine::kCountBatch, *protocol, initial, manual);
     expect_same_run(tail, adaptive);
 }
 
@@ -131,7 +130,7 @@ TEST(AdaptiveSimulator, ResumesBitIdenticallyAcrossSwitches) {
     SwitchRecorder recorder;
     RunOptions options = adaptive_options(11);
     options.observer = &recorder;
-    const RunResult baseline = simulate_adaptive(*protocol, initial, options);
+    const RunResult baseline = run_engine(SimulationEngine::kAdaptive, *protocol, initial, options);
     ASSERT_EQ(recorder.switches.size(), 2u);
     options.observer = nullptr;
 
@@ -140,7 +139,7 @@ TEST(AdaptiveSimulator, ResumesBitIdenticallyAcrossSwitches) {
         RunOptions paused = options;
         paused.pause_after = info.interactions;
         paused.checkpoint_sink = &sink;
-        const RunResult first = simulate_adaptive(*protocol, initial, paused);
+        const RunResult first = run_engine(SimulationEngine::kAdaptive, *protocol, initial, paused);
         ASSERT_EQ(first.stop_reason, StopReason::kPaused) << "cut at " << info.interactions;
         ASSERT_FALSE(sink.checkpoints.empty()) << "cut at " << info.interactions;
         // The pause checkpoint block runs before the monitor poll, so the
@@ -153,7 +152,8 @@ TEST(AdaptiveSimulator, ResumesBitIdenticallyAcrossSwitches) {
         EXPECT_TRUE(reloaded.adaptive);
         RunOptions resumed = options;
         resumed.resume_from = &reloaded;
-        expect_same_run(simulate_adaptive(*protocol, initial, resumed), baseline);
+        expect_same_run(run_engine(SimulationEngine::kAdaptive,
+                                   *protocol, initial, resumed), baseline);
     }
 }
 
@@ -171,7 +171,7 @@ TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
     // Probe run: only to size the checkpoint period.
     RunOptions options = adaptive_options(3);
     const std::uint64_t run_length =
-        simulate_adaptive(*protocol, initial, options).interactions;
+        run_engine(SimulationEngine::kAdaptive, *protocol, initial, options).interactions;
 
     CollectingSink sink;
     SwitchRecorder recorder;
@@ -179,7 +179,8 @@ TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
     observed.checkpoint_every = run_length / 12 + 1;
     observed.checkpoint_sink = &sink;
     observed.observer = &recorder;
-    const RunResult baseline = simulate_adaptive(*protocol, initial, observed);
+    const RunResult baseline = run_engine(SimulationEngine::kAdaptive,
+                                          *protocol, initial, observed);
     ASSERT_EQ(baseline.stop_reason, StopReason::kSilent);
     ASSERT_GE(sink.checkpoints.size(), 8u);
     ASSERT_EQ(recorder.switches.size(), 2u);
@@ -194,7 +195,8 @@ TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
         RunOptions resumed = observed;
         resumed.checkpoint_sink = &resumed_sink;
         resumed.resume_from = &checkpoint;
-        expect_same_run(simulate_adaptive(*protocol, initial, resumed), baseline);
+        expect_same_run(run_engine(SimulationEngine::kAdaptive,
+                                   *protocol, initial, resumed), baseline);
     }
 }
 
@@ -213,7 +215,7 @@ TEST(AdaptiveSimulator, MinDwellSuppressesThrashing) {
     options.adaptive.exit_collapsed = 12.0;
     options.adaptive.min_dwell = 50000;
     options.observer = &recorder;
-    const RunResult result = simulate_adaptive(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAdaptive, *protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
 
     std::uint64_t previous = 0;
@@ -236,7 +238,8 @@ TEST(AdaptiveSimulator, EntryEngineAndSegmentAttribution) {
     options.telemetry = &sparse_collector;
     const auto sparse =
         CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
-    const RunResult sparse_run = simulate_adaptive(*protocol, sparse, options);
+    const RunResult sparse_run = run_engine(SimulationEngine::kAdaptive,
+                                            *protocol, sparse, options);
     if (telemetry::kCompiledIn) {
         const telemetry::RunTelemetry& data = sparse_collector.telemetry();
         ASSERT_FALSE(data.engine_segments.empty());
@@ -252,7 +255,7 @@ TEST(AdaptiveSimulator, EntryEngineAndSegmentAttribution) {
     options.telemetry = &dense_collector;
     const auto dense = CountConfiguration::from_input_counts(
         *protocol, {kPopulation / 2, kPopulation / 2});
-    simulate_adaptive(*protocol, dense, options);
+    run_engine(SimulationEngine::kAdaptive, *protocol, dense, options);
     if (telemetry::kCompiledIn) {
         ASSERT_FALSE(dense_collector.telemetry().engine_segments.empty());
         EXPECT_EQ(dense_collector.telemetry().engine_segments.front().engine, "collapsed");
@@ -269,16 +272,16 @@ TEST(AdaptiveSimulator, AdoptsStaticCheckpoints) {
     CollectingSink sink;
     RunOptions fixed;
     fixed.seed = 13;
-    fixed.engine = SimulationEngine::kCountBatch;
     fixed.pause_after = 3000;
     fixed.checkpoint_sink = &sink;
-    ASSERT_EQ(simulate_counts(*protocol, initial, fixed).stop_reason, StopReason::kPaused);
+    ASSERT_EQ(run_engine(SimulationEngine::kCountBatch,
+                         *protocol, initial, fixed).stop_reason, StopReason::kPaused);
 
     const RunCheckpoint cut = sink.checkpoints.back();
     EXPECT_FALSE(cut.adaptive);
     RunOptions adopt = adaptive_options(13);
     adopt.resume_from = &cut;
-    const RunResult result = simulate_adaptive(*protocol, initial, adopt);
+    const RunResult result = run_engine(SimulationEngine::kAdaptive, *protocol, initial, adopt);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     EXPECT_EQ(result.effective_interactions, kPopulation - 1);
     EXPECT_EQ(result.consensus, std::optional<bool>(true));
@@ -294,11 +297,11 @@ TEST(AdaptiveSimulator, FluidAssistFastForwardsDenseEntries) {
     const auto dense = CountConfiguration::from_input_counts(
         *protocol, {kPopulation / 2, kPopulation / 2});
     RunOptions plain = adaptive_options(21);
-    const RunResult exact = simulate_adaptive(*protocol, dense, plain);
+    const RunResult exact = run_engine(SimulationEngine::kAdaptive, *protocol, dense, plain);
 
     RunOptions assisted = adaptive_options(21);
     assisted.fluid_assist = make_fluid_assist_hook();
-    const RunResult fast = simulate_adaptive(*protocol, dense, assisted);
+    const RunResult fast = run_engine(SimulationEngine::kAdaptive, *protocol, dense, assisted);
     EXPECT_EQ(fast.stop_reason, StopReason::kSilent);
     EXPECT_EQ(fast.consensus, std::optional<bool>(true));
     // The transient was fast-forwarded: only the sparse tail is simulated.
@@ -306,8 +309,10 @@ TEST(AdaptiveSimulator, FluidAssistFastForwardsDenseEntries) {
 
     const auto sparse =
         CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
-    const RunResult sparse_plain = simulate_adaptive(*protocol, sparse, plain);
-    const RunResult sparse_assisted = simulate_adaptive(*protocol, sparse, assisted);
+    const RunResult sparse_plain = run_engine(SimulationEngine::kAdaptive,
+                                              *protocol, sparse, plain);
+    const RunResult sparse_assisted = run_engine(SimulationEngine::kAdaptive,
+                                                 *protocol, sparse, assisted);
     expect_same_run(sparse_assisted, sparse_plain);
 }
 

@@ -17,6 +17,8 @@
 namespace popproto {
 namespace {
 
+using testutil::run_engine;
+
 /// Exhaustively verifies that `protocol` stably computes `truth` for every
 /// input-count assignment over populations of size 1..max_population.
 void expect_stably_computes(const TabulatedProtocol& protocol, const Formula& truth,
@@ -166,7 +168,8 @@ TEST(RemainderProtocol, ConvergesUnderSimulation) {
         RunOptions options;
         options.max_interactions = default_budget(ones);
         options.seed = ones;
-        const RunResult result = simulate(*protocol, initial, options);
+        const RunResult result = run_engine(SimulationEngine::kAgentArray,
+                                            *protocol, initial, options);
         ASSERT_TRUE(result.consensus.has_value()) << ones;
         EXPECT_EQ(*result.consensus, ones % 3 == 0 ? kOutputTrue : kOutputFalse) << ones;
     }

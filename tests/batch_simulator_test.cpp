@@ -14,8 +14,12 @@
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 /// A protocol that reaches output consensus quickly but keeps churning its
 /// state multiset forever at a low rate, for exercising the
@@ -48,8 +52,10 @@ TEST(BatchSimulator, AgreesWithReferenceOnCounting) {
         RunOptions options;
         options.max_interactions = default_budget(64);
         options.seed = seed;
-        const RunResult reference = simulate(*protocol, initial, options);
-        const RunResult batch = simulate_counts(*protocol, initial, options);
+        const RunResult reference = run_engine(SimulationEngine::kAgentArray,
+                                               *protocol, initial, options);
+        const RunResult batch = run_engine(SimulationEngine::kCountBatch,
+                                           *protocol, initial, options);
         EXPECT_EQ(reference.stop_reason, StopReason::kSilent) << seed;
         EXPECT_EQ(batch.stop_reason, StopReason::kSilent) << seed;
         ASSERT_TRUE(reference.consensus && batch.consensus) << seed;
@@ -67,8 +73,10 @@ TEST(BatchSimulator, AgreesWithReferenceOnMajority) {
             RunOptions options;
             options.max_interactions = default_budget(50, 256.0);
             options.seed = seed;
-            const RunResult reference = simulate(*protocol, initial, options);
-            const RunResult batch = simulate_counts(*protocol, initial, options);
+            const RunResult reference = run_engine(SimulationEngine::kAgentArray,
+                                                   *protocol, initial, options);
+            const RunResult batch = run_engine(SimulationEngine::kCountBatch,
+                                               *protocol, initial, options);
             ASSERT_TRUE(reference.consensus && batch.consensus) << zeros << "," << seed;
             EXPECT_EQ(*batch.consensus, *reference.consensus) << zeros << "," << seed;
             EXPECT_EQ(*batch.consensus, zeros < ones ? kOutputTrue : kOutputFalse);
@@ -85,8 +93,10 @@ TEST(BatchSimulator, AgreesWithReferenceOnEpidemic) {
         RunOptions options;
         options.max_interactions = default_budget(31);
         options.seed = seed;
-        const RunResult reference = simulate(*protocol, initial, options);
-        const RunResult batch = simulate_counts(*protocol, initial, options);
+        const RunResult reference = run_engine(SimulationEngine::kAgentArray,
+                                               *protocol, initial, options);
+        const RunResult batch = run_engine(SimulationEngine::kCountBatch,
+                                           *protocol, initial, options);
         EXPECT_EQ(reference.stop_reason, StopReason::kSilent) << seed;
         EXPECT_EQ(batch.stop_reason, StopReason::kSilent) << seed;
         EXPECT_EQ(batch.final_configuration, reference.final_configuration) << seed;
@@ -106,7 +116,8 @@ TEST(BatchSimulator, ConvergenceTimeMatchesEpidemicClosedForm) {
         RunOptions options;
         options.max_interactions = default_budget(31);
         options.seed = 1000 + trial;
-        const RunResult result = simulate_counts(*protocol, initial, options);
+        const RunResult result = run_engine(SimulationEngine::kCountBatch,
+                                            *protocol, initial, options);
         EXPECT_EQ(result.stop_reason, StopReason::kSilent);
         total += static_cast<double>(result.last_output_change);
     }
@@ -119,7 +130,7 @@ TEST(BatchSimulator, AlreadySilentConfigurationStopsImmediately) {
     initial.add(0, 10);  // ten agents in q_0: (q_0, q_0) -> (q_0, q_0)
     RunOptions options;
     options.max_interactions = 1000;
-    const RunResult batch = simulate_counts(*protocol, initial, options);
+    const RunResult batch = run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
     EXPECT_EQ(batch.stop_reason, StopReason::kSilent);
     EXPECT_EQ(batch.interactions, 0u);
     EXPECT_EQ(batch.effective_interactions, 0u);
@@ -134,7 +145,7 @@ TEST(BatchSimulator, NullSkipMakesSparseEffectivePairsCheap) {
     RunOptions options;
     options.max_interactions = default_budget(1000);
     options.seed = 3;
-    const RunResult batch = simulate_counts(*protocol, initial, options);
+    const RunResult batch = run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
     EXPECT_EQ(batch.stop_reason, StopReason::kSilent);
     ASSERT_TRUE(batch.consensus.has_value());
     EXPECT_EQ(*batch.consensus, kOutputTrue);
@@ -150,7 +161,7 @@ TEST(BatchSimulator, BudgetStopsAtExactInteractionCount) {
     RunOptions options;
     options.max_interactions = 25;  // far below the ~160 needed to finish
     options.seed = 9;
-    const RunResult batch = simulate_counts(*protocol, initial, options);
+    const RunResult batch = run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
     EXPECT_EQ(batch.stop_reason, StopReason::kBudget);
     EXPECT_EQ(batch.interactions, 25u);
 }
@@ -168,8 +179,10 @@ TEST(BatchSimulator, StableOutputStopMatchesReferenceSemantics) {
         options.max_interactions = default_budget(64, 256.0);
         options.stop_after_stable_outputs = window;
         options.seed = seed;
-        const RunResult reference = simulate(*protocol, initial, options);
-        const RunResult batch = simulate_counts(*protocol, initial, options);
+        const RunResult reference = run_engine(SimulationEngine::kAgentArray,
+                                               *protocol, initial, options);
+        const RunResult batch = run_engine(SimulationEngine::kCountBatch,
+                                           *protocol, initial, options);
         EXPECT_EQ(reference.stop_reason, StopReason::kStableOutputs) << seed;
         EXPECT_EQ(batch.stop_reason, StopReason::kStableOutputs) << seed;
         EXPECT_EQ(reference.interactions, reference.last_output_change + window) << seed;
@@ -185,8 +198,8 @@ TEST(BatchSimulator, DeterministicGivenSeed) {
     RunOptions options;
     options.max_interactions = default_budget(48);
     options.seed = 77;
-    const RunResult a = simulate_counts(*protocol, initial, options);
-    const RunResult b = simulate_counts(*protocol, initial, options);
+    const RunResult a = run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
+    const RunResult b = run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
     EXPECT_EQ(a.interactions, b.interactions);
     EXPECT_EQ(a.effective_interactions, b.effective_interactions);
     EXPECT_EQ(a.last_output_change, b.last_output_change);
@@ -201,22 +214,16 @@ TEST(BatchSimulator, RunSimulationDispatchesOnEngine) {
     options.seed = 4;
     options.engine = SimulationEngine::kCountBatch;
     const RunResult batch = run_simulation(*protocol, initial, options);
-    // Same seed, same engine => identical to the direct entry point.
-    const RunResult direct_batch = simulate_counts(*protocol, initial, options);
     options.engine = SimulationEngine::kAgentArray;
     const RunResult reference = run_simulation(*protocol, initial, options);
-    const RunResult direct_reference = simulate(*protocol, initial, options);
-    EXPECT_EQ(batch.interactions, direct_batch.interactions);
-    EXPECT_EQ(reference.interactions, direct_reference.interactions);
-    EXPECT_EQ(batch.final_configuration, direct_batch.final_configuration);
-    // The historical footgun is closed: a direct entry point refuses a
-    // RunOptions that names the *other* engine instead of silently running.
-    EXPECT_THROW(simulate_counts(*protocol, initial, options), std::invalid_argument);
-    options.engine = SimulationEngine::kCountBatch;
-    EXPECT_THROW(simulate(*protocol, initial, options), std::invalid_argument);
+    EXPECT_EQ(batch.engine, ObservedEngine::kCountBatch);
+    EXPECT_EQ(reference.engine, ObservedEngine::kAgentArray);
+    // kAuto at n = 15 selects the agent array: same seed, same run.
     options.engine = SimulationEngine::kAuto;
-    EXPECT_NO_THROW(simulate_counts(*protocol, initial, options));
-    EXPECT_NO_THROW(simulate(*protocol, initial, options));
+    const RunResult automatic = run_simulation(*protocol, initial, options);
+    EXPECT_EQ(automatic.engine, ObservedEngine::kAgentArray);
+    EXPECT_EQ(automatic.interactions, reference.interactions);
+    EXPECT_EQ(automatic.final_configuration, reference.final_configuration);
 }
 
 TEST(BatchSimulator, Validation) {
@@ -226,14 +233,17 @@ TEST(BatchSimulator, Validation) {
     // max_interactions == 0 resolves to default_budget(n) instead of being
     // rejected; the counting protocol falls silent well inside that budget.
     options.max_interactions = 0;
-    EXPECT_EQ(simulate_counts(*protocol, initial, options).stop_reason, StopReason::kSilent);
+    EXPECT_EQ(run_engine(SimulationEngine::kCountBatch,
+                         *protocol, initial, options).stop_reason, StopReason::kSilent);
     options.max_interactions = 100;
     CountConfiguration lonely(protocol->num_states());
     lonely.add(0, 1);
-    EXPECT_THROW(simulate_counts(*protocol, lonely, options), std::invalid_argument);
+    EXPECT_THROW(run_engine(SimulationEngine::kCountBatch,
+                            *protocol, lonely, options), std::invalid_argument);
     const auto other = make_counting_protocol(7);
     const auto mismatched = CountConfiguration::from_input_counts(*other, {4, 4});
-    EXPECT_THROW(simulate_counts(*protocol, mismatched, options), std::invalid_argument);
+    EXPECT_THROW(run_engine(SimulationEngine::kCountBatch,
+                            *protocol, mismatched, options), std::invalid_argument);
 }
 
 }  // namespace

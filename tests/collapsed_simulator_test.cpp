@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/observer.h"
 #include "core/run_loop.h"
 #include "core/simd.h"
@@ -44,6 +43,7 @@ namespace {
 
 using testutil::chi_square_gof;
 using testutil::ChiSquareResult;
+using testutil::run_engine;
 
 // ---------------------------------------------------------------------------
 // Exact k-step distribution of the uniform ordered-pair chain
@@ -103,7 +103,8 @@ void expect_matches_exact_law(const TabulatedProtocol& protocol, const CountVect
                 options.checkpoint_sink = &sink;
                 break;
         }
-        const RunResult result = simulate_collapsed(protocol, initial, options);
+        const RunResult result = run_engine(SimulationEngine::kCollapsedBatch,
+                                            protocol, initial, options);
         // A silent stop before the budget freezes the configuration, so the
         // final counts still equal the configuration at index `steps`.
         ++tally[result.final_configuration.counts()];
@@ -179,7 +180,8 @@ TEST(CollapsedCheckpointResume, BitIdenticalAgainstCheckpointedBaseline) {
     CollectingSink sink;
     options.checkpoint_every = 7;
     options.checkpoint_sink = &sink;
-    const RunResult baseline = simulate_collapsed(*protocol, initial, options);
+    const RunResult baseline = run_engine(SimulationEngine::kCollapsedBatch,
+                                          *protocol, initial, options);
     ASSERT_FALSE(sink.checkpoints.empty());
 
     for (const RunCheckpoint& checkpoint : sink.checkpoints) {
@@ -190,7 +192,8 @@ TEST(CollapsedCheckpointResume, BitIdenticalAgainstCheckpointedBaseline) {
         RunOptions resumed = options;
         resumed.checkpoint_sink = &resumed_sink;
         resumed.resume_from = &reloaded;
-        expect_same_run(simulate_collapsed(*protocol, initial, resumed), baseline);
+        expect_same_run(run_engine(SimulationEngine::kCollapsedBatch,
+                                   *protocol, initial, resumed), baseline);
 
         // The resumed run's checkpoints must be the exact suffix of the
         // baseline's — same cuts, same RNG positions, same counts.
@@ -230,13 +233,15 @@ TEST(CollapsedCheckpointResume, ResumesAVersionOneCheckpointBitIdentically) {
     CollectingSink sink;
     options.checkpoint_every = 7;
     options.checkpoint_sink = &sink;
-    const RunResult baseline = simulate_collapsed(*protocol, initial, options);
+    const RunResult baseline = run_engine(SimulationEngine::kCollapsedBatch,
+                                          *protocol, initial, options);
 
     const RunCheckpoint checkpoint = checkpoint_from_string(v1_text);
     ASSERT_EQ(std::count(sink.checkpoints.begin(), sink.checkpoints.end(), checkpoint), 1);
     RunOptions resumed = options;
     resumed.resume_from = &checkpoint;
-    const RunResult result = simulate_collapsed(*protocol, initial, resumed);
+    const RunResult result = run_engine(SimulationEngine::kCollapsedBatch,
+                                        *protocol, initial, resumed);
     expect_same_run(result, baseline);
     // The values the writing build reported for the uninterrupted run.
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
@@ -254,12 +259,13 @@ TEST(CollapsedCheckpointResume, RejectsForeignCheckpoints) {
     CollectingSink sink;
     options.checkpoint_every = 20;
     options.checkpoint_sink = &sink;
-    simulate_counts(*protocol, initial, options);
+    run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
     ASSERT_FALSE(sink.checkpoints.empty());
 
     RunOptions resume;
     resume.resume_from = &sink.checkpoints.front();
-    EXPECT_THROW(simulate_collapsed(*protocol, initial, resume), std::invalid_argument);
+    EXPECT_THROW(run_engine(SimulationEngine::kCollapsedBatch,
+                            *protocol, initial, resume), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +279,8 @@ TEST(CollapsedSimulator, EpidemicRunsSilentWithExactEffectiveCount) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {25, 5});
     RunOptions options;
     options.seed = 5;
-    const RunResult result = simulate_collapsed(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kCollapsedBatch,
+                                        *protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     EXPECT_EQ(result.final_configuration.counts(), (CountVector{0, 30}));
     EXPECT_EQ(result.effective_interactions, 25u);
@@ -286,7 +293,8 @@ TEST(CollapsedSimulator, InitiallySilentConfigurationStopsAtZero) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {0, 30});
     RunOptions options;
     options.seed = 9;
-    const RunResult result = simulate_collapsed(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kCollapsedBatch,
+                                        *protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     EXPECT_EQ(result.interactions, 0u);
     EXPECT_EQ(result.effective_interactions, 0u);
@@ -296,22 +304,17 @@ TEST(CollapsedSimulator, ValidatesInputs) {
     const auto protocol = make_epidemic_protocol();
     RunOptions options;
     // Population of one.
-    EXPECT_THROW(simulate_collapsed(
-                     *protocol, CountConfiguration::from_input_counts(*protocol, {1, 0}), options),
+    EXPECT_THROW(run_engine(SimulationEngine::kCollapsedBatch, *protocol,
+                            CountConfiguration::from_input_counts(*protocol, {1, 0}), options),
                  std::invalid_argument);
     // Configuration from a different protocol shape.
     const auto counting = make_counting_protocol(4);
     EXPECT_THROW(
-        simulate_collapsed(*protocol,
-                           CountConfiguration::from_input_counts(*counting, {5, 5}), options),
+        run_engine(SimulationEngine::kCollapsedBatch, *protocol,
+                   CountConfiguration::from_input_counts(*counting, {5, 5}), options),
         std::invalid_argument);
-    // Engine-field mismatch in both directions.
     const auto initial = CountConfiguration::from_input_counts(*protocol, {5, 5});
-    options.engine = SimulationEngine::kCountBatch;
-    EXPECT_THROW(simulate_collapsed(*protocol, initial, options), std::invalid_argument);
-    options.engine = SimulationEngine::kCollapsedBatch;
-    EXPECT_THROW(simulate_counts(*protocol, initial, options), std::invalid_argument);
-    EXPECT_NO_THROW(simulate_collapsed(*protocol, initial, options));
+    EXPECT_NO_THROW(run_engine(SimulationEngine::kCollapsedBatch, *protocol, initial, options));
 }
 
 TEST(CollapsedSimulator, EngineNameRoundTrips) {
@@ -394,18 +397,78 @@ TEST(RunSimulationDispatch, PinnedEnginesAreHonoredAtAnySize) {
     EXPECT_EQ(run_simulation(*protocol, initial, options).engine, ObservedEngine::kCountBatch);
     options.engine = SimulationEngine::kCollapsedBatch;
     EXPECT_EQ(run_simulation(*protocol, initial, options).engine, ObservedEngine::kCollapsed);
+    options.engine = SimulationEngine::kAdaptive;
+    EXPECT_EQ(run_simulation(*protocol, initial, options).engine, ObservedEngine::kAdaptive);
 }
 
-TEST(RunSimulationDispatch, DirectEntryPointsReportTheirEngine) {
+// kAuto with resume_from set continues on the engine that wrote the
+// checkpoint, whatever the population size would select: each run is cut at
+// its middle checkpoint and resumed under kAuto with the same checkpoint
+// schedule (collapsed segments clamp super-steps at checkpoint boundaries),
+// and must finish bit-identically to the pinned run.
+TEST(RunSimulationDispatch, AutoResumeFollowsTheCheckpointWriter) {
     const auto protocol = make_epidemic_protocol();
-    const auto initial = CountConfiguration::from_input_counts(*protocol, {20, 2});
+    struct Case {
+        SimulationEngine writer;
+        std::uint64_t population;
+        ObservedEngine reported;
+    };
+    const Case cases[] = {
+        // n = 256 alone selects the agent array, n = 2^13 the count-batch
+        // engine, and n = 2^14 the count-batch engine again.
+        {SimulationEngine::kCountBatch, 256, ObservedEngine::kCountBatch},
+        {SimulationEngine::kAgentArray, std::uint64_t{1} << 13, ObservedEngine::kAgentArray},
+        {SimulationEngine::kAdaptive, std::uint64_t{1} << 14, ObservedEngine::kAdaptive},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(observed_engine_name(c.reported));
+        const auto initial =
+            CountConfiguration::from_input_counts(*protocol, {c.population - 1, 1});
+        CollectingSink sink;
+        RunOptions options;
+        options.seed = 21;
+        options.checkpoint_every = c.population;
+        options.checkpoint_sink = &sink;
+        const RunResult pinned = run_engine(c.writer, *protocol, initial, options);
+        ASSERT_GE(sink.checkpoints.size(), 2u);
+        const RunCheckpoint cut = sink.checkpoints[sink.checkpoints.size() / 2];
+        EXPECT_EQ(cut.adaptive, c.writer == SimulationEngine::kAdaptive);
+
+        CollectingSink resumed_sink;
+        options.engine = SimulationEngine::kAuto;
+        options.checkpoint_sink = &resumed_sink;
+        options.resume_from = &cut;
+        const RunResult resumed = run_simulation(*protocol, initial, options);
+        EXPECT_EQ(resumed.engine, c.reported);
+        EXPECT_EQ(pinned.engine, c.reported);
+        EXPECT_EQ(resumed.stop_reason, pinned.stop_reason);
+        EXPECT_EQ(resumed.interactions, pinned.interactions);
+        EXPECT_EQ(resumed.effective_interactions, pinned.effective_interactions);
+        EXPECT_EQ(resumed.last_output_change, pinned.last_output_change);
+        EXPECT_EQ(resumed.final_configuration, pinned.final_configuration);
+    }
+
+    // A weighted checkpoint is refused, naming the entry point that resumes it.
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {63, 1});
+    const AgentConfiguration agents = AgentConfiguration::from_counts(initial);
+    CollectingSink sink;
     RunOptions options;
-    options.seed = 4;
-    options.max_interactions = 50;
-    EXPECT_EQ(simulate(*protocol, initial, options).engine, ObservedEngine::kAgentArray);
-    EXPECT_EQ(simulate_counts(*protocol, initial, options).engine, ObservedEngine::kCountBatch);
-    EXPECT_EQ(simulate_collapsed(*protocol, initial, options).engine,
-              ObservedEngine::kCollapsed);
+    options.seed = 5;
+    options.checkpoint_every = 64;
+    options.checkpoint_sink = &sink;
+    simulate_weighted(*protocol, agents, std::vector<double>(64, 1.0), options);
+    ASSERT_FALSE(sink.checkpoints.empty());
+    const RunCheckpoint weighted = sink.checkpoints.front();
+    options.checkpoint_sink = nullptr;
+    options.checkpoint_every = 0;
+    options.resume_from = &weighted;
+    try {
+        run_simulation(*protocol, initial, options);
+        ADD_FAILURE() << "a weighted checkpoint resumed under run_simulation";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("simulate_weighted"), std::string::npos)
+            << error.what();
+    }
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 namespace popproto {
 namespace {
 
+using testutil::run_engine;
+
 void expect_compiled_correct(const Formula& formula, std::uint64_t max_population,
                              std::size_t num_symbols = 0) {
     const auto protocol = compile_formula(formula, num_symbols);
@@ -124,7 +126,8 @@ TEST(Compiler, LargePopulationSimulation) {
         RunOptions options;
         options.max_interactions = default_budget(zeros + ones);
         options.seed = zeros;
-        const RunResult result = simulate(*protocol, initial, options);
+        const RunResult result = run_engine(SimulationEngine::kAgentArray,
+                                            *protocol, initial, options);
         ASSERT_TRUE(result.consensus.has_value()) << zeros << " vs " << ones;
         EXPECT_EQ(*result.consensus, zeros < ones ? kOutputTrue : kOutputFalse);
     }

@@ -8,8 +8,12 @@
 #include "core/simulator.h"
 #include "protocols/division.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 TEST(Conventions, IntegerInputDecode) {
     // The paper's Sect. 4.3 token alphabet: (0,0), (1,0), (-1,0), (0,1), (0,-1).
@@ -86,7 +90,7 @@ TEST(Conventions, DivmodSimulationDecodesCorrectly) {
     RunOptions options;
     options.max_interactions = default_budget(60);
     options.seed = 4;
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     const auto decoded = convention.decode(result.final_configuration.output_counts(*protocol));
     EXPECT_EQ(decoded, (std::vector<std::int64_t>{43 % divisor, 43 / divisor}));

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <utility>
 
 #include "core/combinators.h"
 #include "core/configuration.h"
@@ -15,8 +17,12 @@
 #include "protocols/counting.h"
 #include "protocols/leader_election.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 TEST(Rng, DeterministicForSeed) {
     Rng a(42);
@@ -245,7 +251,7 @@ TEST(Simulator, StopsWhenSilent) {
     RunOptions options;
     options.max_interactions = 1u << 20;
     options.seed = 9;
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     ASSERT_TRUE(result.consensus.has_value());
     EXPECT_EQ(*result.consensus, kOutputFalse);  // only 2 ones < 5
@@ -258,7 +264,7 @@ TEST(Simulator, ReachesAlertConsensus) {
     RunOptions options;
     options.max_interactions = 1u << 22;
     options.seed = 10;
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     ASSERT_TRUE(result.consensus.has_value());
     EXPECT_EQ(*result.consensus, kOutputTrue);
     EXPECT_GT(result.effective_interactions, 0u);
@@ -272,7 +278,7 @@ TEST(Simulator, BudgetStop) {
     RunOptions options;
     options.max_interactions = 3;  // far too small
     options.seed = 4;
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kBudget);
     EXPECT_EQ(result.interactions, 3u);
 }
@@ -283,8 +289,8 @@ TEST(Simulator, DeterministicGivenSeed) {
     RunOptions options;
     options.max_interactions = 1u << 20;
     options.seed = 1234;
-    const RunResult a = simulate(*protocol, initial, options);
-    const RunResult b = simulate(*protocol, initial, options);
+    const RunResult a = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
+    const RunResult b = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_EQ(a.interactions, b.interactions);
     EXPECT_EQ(a.final_configuration, b.final_configuration);
 }
@@ -293,17 +299,42 @@ TEST(Simulator, RequiresSaneOptions) {
     const auto protocol = make_counting_protocol(2);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {1, 1});
     RunOptions options;  // max_interactions == 0 -> default_budget(n)
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_LE(result.interactions, default_budget(2));
 
     const auto lonely = CountConfiguration::from_input_counts(*protocol, {1, 0});
     options.max_interactions = 10;
-    EXPECT_THROW(simulate(*protocol, lonely, options), std::invalid_argument);
+    EXPECT_THROW(run_engine(SimulationEngine::kAgentArray, *protocol, lonely, options),
+                 std::invalid_argument);
+}
 
-    // Engine-field consistency: a direct entry point refuses an options
-    // struct meant for a different engine instead of silently running.
-    options.engine = SimulationEngine::kCountBatch;
-    EXPECT_THROW(simulate(*protocol, initial, options), std::invalid_argument);
+TEST(Simulator, StopReasonNamesRoundTrip) {
+    // One table serves the JSONL trace, the service wire and its manifests.
+    const std::pair<StopReason, const char*> names[] = {
+        {StopReason::kSilent, "silent"},
+        {StopReason::kStableOutputs, "stable_outputs"},
+        {StopReason::kBudget, "budget"},
+        {StopReason::kPaused, "paused"},
+    };
+    for (const auto& [reason, name] : names) {
+        EXPECT_STREQ(stop_reason_name(reason), name);
+        StopReason parsed = reason == StopReason::kSilent ? StopReason::kBudget
+                                                          : StopReason::kSilent;
+        ASSERT_TRUE(stop_reason_from_name(name, parsed)) << name;
+        EXPECT_EQ(parsed, reason);
+    }
+    StopReason untouched = StopReason::kBudget;
+    EXPECT_FALSE(stop_reason_from_name("converged", untouched));
+    EXPECT_EQ(untouched, StopReason::kBudget);
+}
+
+TEST(Simulator, EngineNamesParse) {
+    EXPECT_EQ(parse_engine_name("auto"), SimulationEngine::kAuto);
+    EXPECT_EQ(parse_engine_name("agent"), SimulationEngine::kAgentArray);
+    EXPECT_EQ(parse_engine_name("batch"), SimulationEngine::kCountBatch);
+    EXPECT_EQ(parse_engine_name("collapsed"), SimulationEngine::kCollapsedBatch);
+    EXPECT_EQ(parse_engine_name("adaptive"), SimulationEngine::kAdaptive);
+    EXPECT_THROW(parse_engine_name("weighted"), std::invalid_argument);
 }
 
 TEST(Simulator, DefaultBudgetGrowsSuperlinearly) {
@@ -323,7 +354,7 @@ TEST(Simulator, SilenceBetweenChecksBeatsBudgetExpiry) {
     options.max_interactions = default_budget(15);
     options.silence_check_period = options.max_interactions + 1;  // never fires in-loop
     options.seed = 5;
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     ASSERT_TRUE(result.consensus.has_value());
     EXPECT_EQ(*result.consensus, kOutputTrue);

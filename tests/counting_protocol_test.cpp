@@ -14,6 +14,8 @@
 namespace popproto {
 namespace {
 
+using testutil::run_engine;
+
 TEST(CountingProtocol, MatchesPaperTransitionFunction) {
     const auto protocol = make_counting_protocol(5);
     ASSERT_EQ(protocol->num_states(), 6u);
@@ -84,7 +86,7 @@ TEST(CountingProtocol, SilentFinalConfigurationUnderSimulation) {
     RunOptions options;
     options.max_interactions = default_budget(50);
     options.seed = 77;
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     ASSERT_TRUE(result.consensus.has_value());
     EXPECT_EQ(*result.consensus, kOutputTrue);

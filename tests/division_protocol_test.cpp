@@ -14,6 +14,8 @@
 namespace popproto {
 namespace {
 
+using testutil::run_engine;
+
 TEST(DivisionProtocol, PaperDivideByThreeTransitions) {
     const auto protocol = make_division_protocol(3);
     // States are (r, j) encoded as r*2+j; (1,0)=2, (2,0)=4, (0,1)=1, (0,0)=0.
@@ -82,7 +84,7 @@ TEST(DivisionProtocol, SimulationConvergesToQuotient) {
     RunOptions options;
     options.max_interactions = default_budget(zeros + ones);
     options.seed = 21;
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     const DivisionReading reading =
         read_division(*protocol, result.final_configuration, divisor);

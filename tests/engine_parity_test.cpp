@@ -20,7 +20,7 @@
 //     collapsed engine the truncated run must keep the identical snapshot
 //     schedule: super-step boundaries shape the stream itself, so only a
 //     replay with the same boundary sequence is bit-identical
-//     (collapsed_simulator.h — equivalence across *different* observation
+//     (collapsed_simulator.cpp — equivalence across *different* observation
 //     setups is distributional, which is what test 3 checks).
 //  3. Across engines the trajectories agree *distributionally*: the mean
 //     epidemic infection level at a fixed snapshot index matches across all
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/observer.h"
 #include "core/simulator.h"
 #include "observe/trace_recorder.h"
@@ -42,8 +41,12 @@
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 struct ParityCase {
     std::string name;
@@ -82,19 +85,10 @@ const char* engine_label(SimulationEngine engine) {
         case SimulationEngine::kAgentArray: return "agent_array";
         case SimulationEngine::kCountBatch: return "count_batch";
         case SimulationEngine::kCollapsedBatch: return "collapsed";
+        case SimulationEngine::kAdaptive: return "adaptive";
         case SimulationEngine::kAuto: return "auto";
     }
     return "?";
-}
-
-RunResult run_engine(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                     SimulationEngine engine, const RunOptions& options) {
-    switch (engine) {
-        case SimulationEngine::kAgentArray: return simulate(protocol, initial, options);
-        case SimulationEngine::kCollapsedBatch:
-            return simulate_collapsed(protocol, initial, options);
-        default: return simulate_counts(protocol, initial, options);
-    }
 }
 
 std::vector<std::uint64_t> snapshot_indices(const TraceRecorder& recorder) {
@@ -135,7 +129,7 @@ TEST(EngineParity, SnapshotIndicesAgreeAcrossEngines) {
                 TraceRecorder trace;
                 options.observer = &trace;
                 const RunResult result =
-                    run_engine(*test_case.protocol, test_case.initial, engine, options);
+                    run_engine(engine, *test_case.protocol, test_case.initial, options);
 
                 // Budget-pinned by construction: every engine ran the full
                 // budget, so every engine saw the complete scheduled prefix.
@@ -181,7 +175,7 @@ TEST(EngineParity, SnapshotsEqualTruncatedRunFinalConfigurations) {
 
             TraceRecorder recorder;
             options.observer = &recorder;
-            run_engine(*test_case.protocol, test_case.initial, engine, options);
+            run_engine(engine, *test_case.protocol, test_case.initial, options);
             ASSERT_FALSE(recorder.snapshots().empty());
 
             for (const TraceSnapshot& snapshot : recorder.snapshots()) {
@@ -195,7 +189,7 @@ TEST(EngineParity, SnapshotsEqualTruncatedRunFinalConfigurations) {
                 }
                 truncated.max_interactions = snapshot.interaction_index;
                 const RunResult replay =
-                    run_engine(*test_case.protocol, test_case.initial, engine, truncated);
+                    run_engine(engine, *test_case.protocol, test_case.initial, truncated);
                 ASSERT_EQ(replay.interactions, snapshot.interaction_index);
                 EXPECT_EQ(replay.final_configuration.counts(), snapshot.counts)
                     << "snapshot at index " << snapshot.interaction_index
@@ -224,7 +218,7 @@ TEST(EngineParity, EpidemicTrajectoriesAgreeDistributionally) {
             options.seed = static_cast<std::uint64_t>(seed);
             options.observer = &recorder;
             options.snapshots = SnapshotSchedule::every(kSnapshotIndex);
-            const RunResult result = run_engine(*protocol, initial, engine, options);
+            const RunResult result = run_engine(engine, *protocol, initial, options);
             if (!recorder.snapshots().empty()) {
                 // Budget == snapshot index: one snapshot, at the budget.
                 EXPECT_EQ(recorder.snapshots().front().interaction_index, kSnapshotIndex);

@@ -11,8 +11,12 @@
 #include "protocols/epidemic.h"
 #include "protocols/one_way.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 TEST(Epidemic, TransitionTables) {
     const auto two_way = make_epidemic_protocol();
@@ -82,7 +86,8 @@ TEST(Epidemic, SimulatedMeanTracksClosedForm) {
         RunOptions options;
         options.max_interactions = 1u << 22;
         options.seed = 5000 + trial;
-        const RunResult result = simulate(*protocol, initial, options);
+        const RunResult result = run_engine(SimulationEngine::kAgentArray,
+                                            *protocol, initial, options);
         EXPECT_EQ(result.stop_reason, StopReason::kSilent);
         total += static_cast<double>(result.last_output_change);
     }

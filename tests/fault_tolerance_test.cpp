@@ -15,8 +15,12 @@
 #include "protocols/leader_election.h"
 #include "presburger/atom_protocols.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 TEST(FaultTolerance, KillingTheTokenHolderLosesTheCount) {
     // 4 ones merge into a single q4 token; if that agent dies, the surviving
@@ -88,7 +92,7 @@ TEST(FaultTolerance, ThresholdProtocolLeaderDeathFreezesOutputs) {
     RunOptions options;
     options.max_interactions = default_budget(4);
     options.seed = 3;
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     ASSERT_TRUE(result.consensus.has_value());
     ASSERT_EQ(*result.consensus, kOutputFalse);  // 4 >= 2
 

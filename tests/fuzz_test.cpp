@@ -22,6 +22,8 @@
 namespace popproto {
 namespace {
 
+using testutil::run_engine;
+
 std::unique_ptr<TabulatedProtocol> random_protocol(Rng& rng, std::size_t num_states) {
     TabulatedProtocol::Tables tables;
     tables.num_output_symbols = 2;
@@ -129,7 +131,8 @@ TEST(Fuzz, SimulatedRunsLandInStableSignaturesWhenConvergent) {
         RunOptions options;
         options.max_interactions = 200000;
         options.seed = 999 + round;
-        const RunResult run = simulate(*protocol, initial, options);
+        const RunResult run = run_engine(SimulationEngine::kAgentArray,
+                                         *protocol, initial, options);
         if (run.stop_reason != StopReason::kSilent) continue;
         // A silent final configuration is output-stable; its signature must
         // be one of the analyzer's stable signatures.

@@ -22,6 +22,8 @@
 namespace popproto {
 namespace {
 
+using testutil::run_engine;
+
 TEST(Integration, ParseCompileVerifySimulateSerializeRoundTrip) {
     // Text formula -> compiler -> exact verification -> random simulation ->
     // serialization -> reload -> exact verification again.
@@ -38,7 +40,7 @@ TEST(Integration, ParseCompileVerifySimulateSerializeRoundTrip) {
     RunOptions options;
     options.max_interactions = default_budget(100, 128.0);
     options.seed = 2;
-    const RunResult run = simulate(*protocol, initial, options);
+    const RunResult run = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     ASSERT_TRUE(run.consensus.has_value());
     EXPECT_EQ(*run.consensus, formula.evaluate({100}) ? kOutputTrue : kOutputFalse);
 

@@ -24,6 +24,8 @@
 namespace popproto {
 namespace {
 
+using testutil::run_engine;
+
 /// Category index of an ordered pair (i, j), i != j, in lexicographic
 /// order — the inverse of decode_ordered_pair.
 std::size_t pair_category(const AgentPair& pair, std::uint64_t num_agents) {
@@ -214,7 +216,7 @@ TEST(InteractionModel, StatelessCheckpointOmitsModelSection) {
     options.seed = 4;
     options.checkpoint_every = 64;
     options.checkpoint_sink = &sink;
-    simulate(*protocol, initial, options);
+    run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     ASSERT_FALSE(sink.checkpoints.empty());
     EXPECT_TRUE(sink.checkpoints.front().interaction_model.empty());
     EXPECT_EQ(checkpoint_to_string(sink.checkpoints.front()).find("interaction_model"),

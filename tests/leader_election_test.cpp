@@ -11,8 +11,12 @@
 #include "core/simulator.h"
 #include "protocols/leader_election.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 TEST(LeaderElection, TransitionTable) {
     const auto protocol = make_leader_election_protocol();
@@ -55,7 +59,8 @@ TEST(LeaderElection, SimulatedMeanTracksClosedForm) {
         RunOptions options;
         options.max_interactions = 1u << 22;
         options.seed = 1000 + trial;
-        const RunResult result = simulate(*protocol, initial, options);
+        const RunResult result = run_engine(SimulationEngine::kAgentArray,
+                                            *protocol, initial, options);
         EXPECT_EQ(result.stop_reason, StopReason::kSilent);
         // The election finishes at the last effective interaction; with only
         // leader-leader transitions, that is last_output_change.

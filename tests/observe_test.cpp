@@ -25,6 +25,8 @@
 namespace popproto {
 namespace {
 
+using testutil::run_engine;
+
 using testutil::JsonChecker;
 
 std::vector<std::string> split_lines(const std::string& text) {
@@ -117,13 +119,15 @@ TEST(Observe, ObservationDoesNotPerturbAgentArray) {
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {57, 7});
     const RunOptions plain = base_options(default_budget(64), 21);
-    const RunResult unobserved = simulate(*protocol, initial, plain);
+    const RunResult unobserved = run_engine(SimulationEngine::kAgentArray,
+                                            *protocol, initial, plain);
 
     TraceRecorder recorder;
     RunOptions observed = plain;
     observed.observer = &recorder;
     observed.snapshots = SnapshotSchedule::every(64);
-    const RunResult result = simulate(*protocol, initial, observed);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray,
+                                        *protocol, initial, observed);
 
     EXPECT_TRUE(results_equal(result, unobserved));
     EXPECT_TRUE(recorder.finished());
@@ -134,13 +138,15 @@ TEST(Observe, ObservationDoesNotPerturbBatchEngine) {
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {57, 7});
     const RunOptions plain = base_options(default_budget(64), 22);
-    const RunResult unobserved = simulate_counts(*protocol, initial, plain);
+    const RunResult unobserved = run_engine(SimulationEngine::kCountBatch,
+                                            *protocol, initial, plain);
 
     TraceRecorder recorder;
     RunOptions observed = plain;
     observed.observer = &recorder;
     observed.snapshots = SnapshotSchedule::log_spaced(1.3);
-    const RunResult result = simulate_counts(*protocol, initial, observed);
+    const RunResult result = run_engine(SimulationEngine::kCountBatch,
+                                        *protocol, initial, observed);
 
     EXPECT_TRUE(results_equal(result, unobserved));
     // Null-run accounting: the recorder saw exactly the skipped interactions.
@@ -208,7 +214,7 @@ TEST(Observe, TraceRecorderCapturesEpidemicTrajectory) {
     RunOptions options = base_options(default_budget(64), 5);
     options.observer = &recorder;
     options.snapshots = SnapshotSchedule::every(25);
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
 
     ASSERT_TRUE(recorder.started());
     ASSERT_TRUE(recorder.finished());
@@ -254,12 +260,12 @@ TEST(Observe, TraceRecorderClearsBetweenRuns) {
     RunOptions options = base_options(default_budget(16), 9);
     options.observer = &recorder;
     options.snapshots = SnapshotSchedule::every(10);
-    simulate(*protocol, initial, options);
+    run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     const std::size_t first_snapshots = recorder.snapshots().size();
 
     // on_start clears implicitly: a second run does not accumulate.
     options.seed = 10;
-    simulate_counts(*protocol, initial, options);
+    run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
     EXPECT_EQ(recorder.engine(), ObservedEngine::kCountBatch);
     EXPECT_EQ(recorder.seed(), 10u);
     EXPECT_TRUE(recorder.finished());
@@ -286,7 +292,7 @@ TEST(Observe, BatchSnapshotsInsideNullRunsKeepCountsConstant) {
     RunOptions options = base_options(50'000, 77);
     options.observer = &recorder;
     options.snapshots = SnapshotSchedule::every(7);
-    const RunResult result = simulate_counts(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
 
     // The epidemic completes long before 50k interactions; W == 0 then
     // stops the run exactly at the last effective interaction.
@@ -321,7 +327,7 @@ TEST(Observe, BatchBudgetStopEmitsSnapshotsThroughBudget) {
     RunOptions options = base_options(4'096, 3);
     options.observer = &recorder;
     options.snapshots = SnapshotSchedule::every(512);
-    const RunResult result = simulate_counts(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
 
     if (result.stop_reason == StopReason::kSilent) {
         // Silence stops the run exactly at the last effective interaction;
@@ -399,7 +405,7 @@ TEST(Observe, MetricsReportExportsValidJson) {
     RunOptions options = base_options(default_budget(32), 21);
     options.observer = &metrics;
     options.snapshots = SnapshotSchedule::every(64);
-    simulate_counts(*protocol, initial, options);
+    run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
 
     const MetricsReport report = metrics.report();
     const std::string json = report.to_json();
@@ -440,7 +446,7 @@ TEST(Observe, JsonlWriterEmitsValidJsonl) {
     RunOptions options = base_options(default_budget(32), 11);
     options.observer = &tee;
     options.snapshots = SnapshotSchedule::log_spaced(1.4, 8);
-    const RunResult result = simulate_counts(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
 
     const std::vector<std::string> lines = split_lines(out.str());
     ASSERT_GE(lines.size(), 3u);

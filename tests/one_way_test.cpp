@@ -9,8 +9,12 @@
 #include "protocols/counting.h"
 #include "protocols/one_way.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 TEST(OneWay, ProtocolIsActuallyOneWay) {
     for (std::uint32_t k : {1u, 2u, 4u}) {
@@ -67,7 +71,7 @@ TEST(OneWay, ConvergesUnderSimulation) {
     RunOptions options;
     options.max_interactions = default_budget(50);
     options.seed = 5;
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     ASSERT_TRUE(result.consensus.has_value());
     EXPECT_EQ(*result.consensus, kOutputTrue);
 }

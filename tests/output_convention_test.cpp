@@ -11,6 +11,8 @@
 namespace popproto {
 namespace {
 
+using testutil::run_engine;
+
 /// A protocol with *no* transitions whose output is the agent's own input
 /// bit.  Under the zero/non-zero convention it stably computes OR of the
 /// inputs; under the all-agents convention it computes nothing (agents
@@ -54,7 +56,8 @@ TEST(OutputConvention, TransformedProtocolConvergesUnderSimulation) {
         options.max_interactions = default_budget(zeros + ones);
         options.stop_after_stable_outputs = 200 * (zeros + ones);
         options.seed = 13 + ones;
-        const RunResult result = simulate(*all_agents, initial, options);
+        const RunResult result = run_engine(SimulationEngine::kAgentArray,
+                                            *all_agents, initial, options);
         ASSERT_TRUE(result.consensus.has_value()) << zeros << "," << ones;
         EXPECT_EQ(*result.consensus, ones > 0 ? kOutputTrue : kOutputFalse);
     }
@@ -92,7 +95,7 @@ TEST(OutputConvention, SingleWitnessSimulationHasOneWitness) {
     options.max_interactions = default_budget(40);
     options.stop_after_stable_outputs = 40 * 200;
     options.seed = 6;
-    const RunResult result = simulate(*witness, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *witness, initial, options);
     const auto outputs = result.final_configuration.output_counts(*witness);
     EXPECT_EQ(outputs[kOutputTrue], 1u);   // exactly one witness
     EXPECT_EQ(outputs[kOutputFalse], 39u);

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/adaptive_simulator.h"
 #include "core/batch_simulator.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
@@ -26,8 +25,12 @@
 #include "protocols/epidemic.h"
 #include "scenarios/scenario_spec.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 TEST(RngState, SaveRestoreReproducesStreamBitForBit) {
     Rng rng(42);
@@ -175,6 +178,15 @@ TEST(RunCheckpointIO, RejectsMalformedInputWithLineAndToken) {
               "read_checkpoint: line 2: engine 'scheduler' was removed with "
               "simulate_with_scheduler; run round-robin and sweep pairing through "
               "run_scenario (trace_run --model round_robin|sweep)");
+    // No engine writes the adaptive tag: the dispatcher's checkpoints carry
+    // the segment engine plus an `adaptive` line.
+    std::string adaptive_engine = text;
+    adaptive_engine.replace(tag_at, std::string("engine agent_array").size(),
+                            "engine adaptive");
+    EXPECT_EQ(parse_error_message(adaptive_engine),
+              "read_checkpoint: line 2: engine 'adaptive' is not a checkpoint engine; "
+              "adaptive checkpoints carry the segment engine (count_batch or collapsed) "
+              "plus an 'adaptive' line");
     std::string shard_streams = text;
     const std::size_t counts_at = shard_streams.find("counts ");
     ASSERT_NE(counts_at, std::string::npos);
@@ -291,7 +303,10 @@ TEST(CheckpointResume, BitIdenticalOnAgentArray) {
     RunOptions options;
     options.seed = 11;
     check_resume_bit_identity(
-        [&](const RunOptions& opts) { return simulate(*protocol, initial, opts); }, options,
+        [&](const RunOptions& opts) {
+            return run_engine(SimulationEngine::kAgentArray, *protocol, initial, opts);
+        },
+        options,
         /*checkpoint_every=*/97);  // coprime to everything: cuts land mid-everything
 }
 
@@ -304,7 +319,9 @@ TEST(CheckpointResume, BitIdenticalOnCountBatchInsideNullSkips) {
     RunOptions options;
     options.seed = 3;
     const auto checkpoints = check_resume_bit_identity(
-        [&](const RunOptions& opts) { return simulate_counts(*protocol, initial, opts); },
+        [&](const RunOptions& opts) {
+            return run_engine(SimulationEngine::kCountBatch, *protocol, initial, opts);
+        },
         options, /*checkpoint_every=*/10000);
 
     bool any_pending = false;
@@ -369,14 +386,16 @@ TEST(CheckpointResume, CutExactlyOnSnapshotBoundaryPreservesTrace) {
 
     TraceObserver uninterrupted;
     options.observer = &uninterrupted;
-    const RunResult baseline = simulate(*protocol, initial, options);
+    const RunResult baseline = run_engine(SimulationEngine::kAgentArray,
+                                          *protocol, initial, options);
 
     CollectingSink sink;
     TraceObserver checkpointed_trace;
     options.observer = &checkpointed_trace;
     options.checkpoint_every = 256;
     options.checkpoint_sink = &sink;
-    expect_same_run(simulate(*protocol, initial, options), baseline);
+    expect_same_run(run_engine(SimulationEngine::kAgentArray,
+                               *protocol, initial, options), baseline);
     EXPECT_EQ(checkpointed_trace.snapshots, uninterrupted.snapshots);
     ASSERT_FALSE(sink.checkpoints.empty());
 
@@ -387,7 +406,8 @@ TEST(CheckpointResume, CutExactlyOnSnapshotBoundaryPreservesTrace) {
         TraceObserver resumed_trace;
         options.observer = &resumed_trace;
         options.resume_from = &checkpoint;
-        expect_same_run(simulate(*protocol, initial, options), baseline);
+        expect_same_run(run_engine(SimulationEngine::kAgentArray,
+                                   *protocol, initial, options), baseline);
 
         // prefix (<= cut) + resumed == uninterrupted, with no boundary
         // snapshot duplicated or dropped.
@@ -409,7 +429,7 @@ TEST(CheckpointResume, ValidatesCheckpointAgainstTheRun) {
     CollectingSink sink;
     options.checkpoint_every = 50;
     options.checkpoint_sink = &sink;
-    simulate(*protocol, initial, options);
+    run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     ASSERT_FALSE(sink.checkpoints.empty());
     const RunCheckpoint checkpoint = sink.checkpoints.front();
 
@@ -417,20 +437,24 @@ TEST(CheckpointResume, ValidatesCheckpointAgainstTheRun) {
     options.checkpoint_sink = nullptr;
     options.resume_from = &checkpoint;
     // Wrong engine: an agent-array checkpoint cannot resume the batch engine.
-    EXPECT_THROW(simulate_counts(*protocol, initial, options), std::invalid_argument);
+    EXPECT_THROW(run_engine(SimulationEngine::kCountBatch,
+                            *protocol, initial, options), std::invalid_argument);
     // Wrong population.
     const auto larger = CountConfiguration::from_input_counts(*protocol, {20, 2});
-    EXPECT_THROW(simulate(*protocol, larger, options), std::invalid_argument);
+    EXPECT_THROW(run_engine(SimulationEngine::kAgentArray,
+                            *protocol, larger, options), std::invalid_argument);
     // Budget below the cut.
     options.max_interactions = checkpoint.interactions - 1;
-    EXPECT_THROW(simulate(*protocol, initial, options), std::invalid_argument);
+    EXPECT_THROW(run_engine(SimulationEngine::kAgentArray,
+                            *protocol, initial, options), std::invalid_argument);
     options.max_interactions = 0;
-    EXPECT_NO_THROW(simulate(*protocol, initial, options));
+    EXPECT_NO_THROW(run_engine(SimulationEngine::kAgentArray, *protocol, initial, options));
 
     // checkpoint_every without a sink is rejected up front.
     RunOptions no_sink;
     no_sink.checkpoint_every = 10;
-    EXPECT_THROW(simulate(*protocol, initial, no_sink), std::invalid_argument);
+    EXPECT_THROW(run_engine(SimulationEngine::kAgentArray,
+                            *protocol, initial, no_sink), std::invalid_argument);
 }
 
 // --- Version-1 checkpoints of every engine --------------------------------
@@ -477,7 +501,8 @@ TEST(CheckpointV1, AgentArrayResumes) {
     RunOptions options;
     options.max_interactions = 20000;
     options.resume_from = &checkpoint;
-    const RunResult result = simulate(*protocol, counting_v1_initial(*protocol), options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray,
+                                        *protocol, counting_v1_initial(*protocol), options);
     expect_pinned_end(result, StopReason::kSilent, 1024, 75, 236, {0, 0, 0, 64});
 }
 
@@ -502,7 +527,8 @@ TEST(CheckpointV1, CountBatchResumes) {
     options.max_interactions = 20000;
     options.resume_from = &checkpoint;
     const RunResult result =
-        simulate_counts(*protocol, counting_v1_initial(*protocol), options);
+        run_engine(SimulationEngine::kCountBatch,
+                   *protocol, counting_v1_initial(*protocol), options);
     expect_pinned_end(result, StopReason::kSilent, 364, 64, 364, {0, 0, 0, 64});
 }
 
@@ -625,10 +651,10 @@ TEST(CheckpointV1, AdaptiveSegmentResumes) {
     const auto protocol = make_epidemic_protocol();
     const std::uint64_t n = 1 << 14;
     RunOptions options;
-    options.engine = SimulationEngine::kAdaptive;
     options.resume_from = &checkpoint;
-    const RunResult result = simulate_adaptive(
-        *protocol, CountConfiguration::from_input_counts(*protocol, {n - 1, 1}), options);
+    const RunResult result =
+        run_engine(SimulationEngine::kAdaptive, *protocol,
+                   CountConfiguration::from_input_counts(*protocol, {n - 1, 1}), options);
     expect_pinned_end(result, StopReason::kSilent, 161953, 16383, 161953, {0, n});
 }
 
@@ -676,9 +702,12 @@ TEST(PauseResume, ChainedQuantaBitIdenticalOnAgentArray) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {40, 8});
     RunOptions options;
     options.seed = 11;
-    const RunResult baseline = simulate(*protocol, initial, options);
+    const RunResult baseline = run_engine(SimulationEngine::kAgentArray,
+                                          *protocol, initial, options);
 
-    const auto run = [&](const RunOptions& opts) { return simulate(*protocol, initial, opts); };
+    const auto run = [&](const RunOptions& opts) {
+        return run_engine(SimulationEngine::kAgentArray, *protocol, initial, opts);
+    };
     const auto [sliced, quanta] = run_in_quanta(run, options, /*quantum=*/97);
     expect_same_run(sliced, baseline);
     EXPECT_GT(quanta, 1) << "quantum too large to exercise slicing";
@@ -692,10 +721,11 @@ TEST(PauseResume, ChainedQuantaBitIdenticalInsideNullSkips) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {998, 2});
     RunOptions options;
     options.seed = 3;
-    const RunResult baseline = simulate_counts(*protocol, initial, options);
+    const RunResult baseline = run_engine(SimulationEngine::kCountBatch,
+                                          *protocol, initial, options);
 
     const auto run = [&](const RunOptions& opts) {
-        return simulate_counts(*protocol, initial, opts);
+        return run_engine(SimulationEngine::kCountBatch, *protocol, initial, opts);
     };
     const auto [sliced, quanta] = run_in_quanta(run, options, /*quantum=*/10000);
     expect_same_run(sliced, baseline);
@@ -707,12 +737,13 @@ TEST(PauseResume, TerminalRunIgnoresALaterPauseIndex) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {10, 2});
     RunOptions options;
     options.seed = 2;
-    const RunResult baseline = simulate(*protocol, initial, options);
+    const RunResult baseline = run_engine(SimulationEngine::kAgentArray,
+                                          *protocol, initial, options);
 
     CollectingSink sink;
     options.checkpoint_sink = &sink;
     options.pause_after = baseline.interactions + 1000000;  // beyond the natural stop
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     expect_same_run(result, baseline);
     EXPECT_NE(result.stop_reason, StopReason::kPaused);
     EXPECT_TRUE(sink.checkpoints.empty());
@@ -723,7 +754,8 @@ TEST(PauseResume, PauseRequiresACheckpointSink) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {10, 2});
     RunOptions options;
     options.pause_after = 100;  // no checkpoint_sink
-    EXPECT_THROW(simulate(*protocol, initial, options), std::invalid_argument);
+    EXPECT_THROW(run_engine(SimulationEngine::kAgentArray,
+                            *protocol, initial, options), std::invalid_argument);
 }
 
 /// Raises a stop flag from inside the run, at the first snapshot at or past
@@ -746,7 +778,8 @@ TEST(PauseResume, StopFlagDeliversAResumableCheckpoint) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {40, 8});
     RunOptions options;
     options.seed = 7;
-    const RunResult baseline = simulate(*protocol, initial, options);
+    const RunResult baseline = run_engine(SimulationEngine::kAgentArray,
+                                          *protocol, initial, options);
     ASSERT_GT(baseline.interactions, 200u);
 
     std::atomic<bool> stop{false};
@@ -756,7 +789,8 @@ TEST(PauseResume, StopFlagDeliversAResumableCheckpoint) {
     options.observer = &raiser;
     options.stop_flag = &stop;
     options.checkpoint_sink = &sink;
-    const RunResult interrupted = simulate(*protocol, initial, options);
+    const RunResult interrupted = run_engine(SimulationEngine::kAgentArray,
+                                             *protocol, initial, options);
     EXPECT_EQ(interrupted.stop_reason, StopReason::kPaused);
     EXPECT_LT(interrupted.interactions, baseline.interactions);
     ASSERT_FALSE(sink.checkpoints.empty());
@@ -767,7 +801,8 @@ TEST(PauseResume, StopFlagDeliversAResumableCheckpoint) {
     RunOptions resumed_options;
     resumed_options.seed = 7;
     resumed_options.resume_from = &resume_point;
-    expect_same_run(simulate(*protocol, initial, resumed_options), baseline);
+    expect_same_run(run_engine(SimulationEngine::kAgentArray,
+                               *protocol, initial, resumed_options), baseline);
 }
 
 TEST(PauseResume, StopFlagAlreadyRaisedStopsBeforeAnyInteraction) {
@@ -779,7 +814,7 @@ TEST(PauseResume, StopFlagAlreadyRaisedStopsBeforeAnyInteraction) {
     options.seed = 4;
     options.stop_flag = &stop;
     options.checkpoint_sink = &sink;
-    const RunResult paused = simulate(*protocol, initial, options);
+    const RunResult paused = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_EQ(paused.stop_reason, StopReason::kPaused);
     EXPECT_EQ(paused.interactions, 0u);
     ASSERT_FALSE(sink.checkpoints.empty());
@@ -787,13 +822,14 @@ TEST(PauseResume, StopFlagAlreadyRaisedStopsBeforeAnyInteraction) {
     const RunResult baseline = [&] {
         RunOptions plain;
         plain.seed = 4;
-        return simulate(*protocol, initial, plain);
+        return run_engine(SimulationEngine::kAgentArray, *protocol, initial, plain);
     }();
     const RunCheckpoint resume_point = sink.checkpoints.back();
     RunOptions resumed_options;
     resumed_options.seed = 4;
     resumed_options.resume_from = &resume_point;
-    expect_same_run(simulate(*protocol, initial, resumed_options), baseline);
+    expect_same_run(run_engine(SimulationEngine::kAgentArray,
+                               *protocol, initial, resumed_options), baseline);
 }
 
 TEST(RunLoop, DefaultBudgetSaturatesInsteadOfOverflowing) {

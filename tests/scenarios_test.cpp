@@ -27,8 +27,12 @@
 #include "scenarios/mobility.h"
 #include "scenarios/scenario_spec.h"
 
+#include "test_util.h"
+
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 // --- Game-rule adapter -----------------------------------------------------
 
@@ -58,7 +62,7 @@ TEST(Games, PavlovPopulationConvergesToAllCooperate) {
     RunOptions options;
     options.seed = 7;
     options.max_interactions = 1000000;
-    const RunResult result = simulate(*protocol, initial, options);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     ASSERT_TRUE(result.consensus.has_value());
     EXPECT_EQ(*result.consensus, 0u);  // everyone plays C

@@ -195,8 +195,7 @@ RunResult direct_run(const SessionSpec& spec) {
     const auto protocol = build_protocol(spec);
     const auto initial = build_initial(*protocol, spec);
     if (spec.model != "uniform")
-        return run_scenario(*protocol, initial, scenario_spec_from(spec),
-                            direct_options(spec));
+        return run_scenario(*protocol, initial, spec, direct_options(spec));
     return run_simulation(*protocol, initial, direct_options(spec));
 }
 
@@ -209,7 +208,9 @@ void expect_matches_direct(const SessionStatus& status, const RunResult& direct)
     ASSERT_TRUE(status.stop_reason.has_value());
     EXPECT_EQ(*status.stop_reason, direct.stop_reason);
     EXPECT_EQ(status.consensus.has_value(), direct.consensus.has_value());
-    if (status.consensus && direct.consensus) EXPECT_EQ(*status.consensus, *direct.consensus);
+    if (status.consensus && direct.consensus) {
+        EXPECT_EQ(*status.consensus, *direct.consensus);
+    }
 }
 
 /// Polls `status(id)` until `done` returns true or ~30 s elapse.

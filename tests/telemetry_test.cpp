@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/observer.h"
 #include "core/simulator.h"
 #include "graphs/graph_simulation.h"
@@ -41,6 +40,8 @@
 
 namespace popproto {
 namespace {
+
+using testutil::run_engine;
 
 using telemetry::Phase;
 using telemetry::RunTelemetry;
@@ -130,12 +131,14 @@ TEST(Telemetry, DoesNotPerturbAgentArray) {
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {57, 7});
     const RunOptions plain = base_options(default_budget(64), 31);
-    const RunResult unobserved = simulate(*protocol, initial, plain);
+    const RunResult unobserved = run_engine(SimulationEngine::kAgentArray,
+                                            *protocol, initial, plain);
 
     RunTelemetryCollector collector;
     RunOptions instrumented = plain;
     instrumented.telemetry = &collector;
-    const RunResult result = simulate(*protocol, initial, instrumented);
+    const RunResult result = run_engine(SimulationEngine::kAgentArray,
+                                        *protocol, initial, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
     if (!telemetry::kCompiledIn) return;
@@ -154,12 +157,14 @@ TEST(Telemetry, DoesNotPerturbBatchEngine) {
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {57, 7});
     const RunOptions plain = base_options(default_budget(64), 32);
-    const RunResult unobserved = simulate_counts(*protocol, initial, plain);
+    const RunResult unobserved = run_engine(SimulationEngine::kCountBatch,
+                                            *protocol, initial, plain);
 
     RunTelemetryCollector collector;
     RunOptions instrumented = plain;
     instrumented.telemetry = &collector;
-    const RunResult result = simulate_counts(*protocol, initial, instrumented);
+    const RunResult result = run_engine(SimulationEngine::kCountBatch,
+                                        *protocol, initial, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
     if (!telemetry::kCompiledIn) return;
@@ -185,12 +190,13 @@ TEST(Telemetry, SkipAccountingMatchesObserverWithoutAnObserver) {
     TraceRecorder recorder;
     RunOptions observed = plain;
     observed.observer = &recorder;
-    simulate_counts(*protocol, initial, observed);
+    run_engine(SimulationEngine::kCountBatch, *protocol, initial, observed);
 
     RunTelemetryCollector collector;
     RunOptions instrumented = plain;
     instrumented.telemetry = &collector;
-    const RunResult result = simulate_counts(*protocol, initial, instrumented);
+    const RunResult result = run_engine(SimulationEngine::kCountBatch,
+                                        *protocol, initial, instrumented);
     if (!telemetry::kCompiledIn) return;
     EXPECT_EQ(result.telemetry->null_interactions_skipped, recorder.total_null_skips());
 }
@@ -245,12 +251,14 @@ TEST(Telemetry, DoesNotPerturbCollapsedEngine) {
     const auto protocol = make_epidemic_protocol();
     const auto initial = CountConfiguration::from_input_counts(*protocol, {4000, 96});
     const RunOptions plain = base_options(default_budget(4096), 36);
-    const RunResult unobserved = simulate_collapsed(*protocol, initial, plain);
+    const RunResult unobserved = run_engine(SimulationEngine::kCollapsedBatch,
+                                            *protocol, initial, plain);
 
     RunTelemetryCollector collector;
     RunOptions instrumented = plain;
     instrumented.telemetry = &collector;
-    const RunResult result = simulate_collapsed(*protocol, initial, instrumented);
+    const RunResult result = run_engine(SimulationEngine::kCollapsedBatch,
+                                        *protocol, initial, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
     if (!telemetry::kCompiledIn) return;
@@ -275,7 +283,7 @@ TEST(Telemetry, CollectorIsReusableAcrossRuns) {
     RunOptions options = base_options(default_budget(64), 38);
     options.telemetry = &collector;
 
-    const RunResult first = simulate_counts(*protocol, initial, options);
+    const RunResult first = run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
     if (!telemetry::kCompiledIn) return;
     const std::shared_ptr<const RunTelemetry> first_data = first.telemetry;
     EXPECT_EQ(first_data->interactions, first.interactions);
@@ -283,7 +291,7 @@ TEST(Telemetry, CollectorIsReusableAcrossRuns) {
     // begin_run resets: the second run's telemetry starts from zero and the
     // first run's snapshot (shared_ptr) is left untouched.
     options.seed = 39;
-    const RunResult second = simulate(*protocol, initial, options);
+    const RunResult second = run_engine(SimulationEngine::kAgentArray, *protocol, initial, options);
     EXPECT_EQ(second.telemetry->engine, "agent_array");
     EXPECT_EQ(second.telemetry->interactions, second.interactions);
     EXPECT_EQ(first_data->engine, "count_batch");
@@ -313,7 +321,7 @@ std::shared_ptr<const RunTelemetry> instrumented_collapsed_run() {
     RunOptions options = base_options(default_budget(4096), 40);
     RunTelemetryCollector collector;
     options.telemetry = &collector;
-    return simulate_collapsed(*protocol, initial, options).telemetry;
+    return run_engine(SimulationEngine::kCollapsedBatch, *protocol, initial, options).telemetry;
 }
 
 TEST(ChromeTrace, EmitsValidJsonWithNestedSpans) {
@@ -433,7 +441,7 @@ TEST(Telemetry, JsonlWriterEmitsOneTelemetryEventBeforeStop) {
     RunOptions options = base_options(default_budget(64), 41);
     options.observer = &writer;
     options.telemetry = &collector;
-    simulate_counts(*protocol, initial, options);
+    run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
 
     std::vector<std::string> lines;
     {
@@ -462,7 +470,7 @@ TEST(Telemetry, JsonlWriterEmitsOneTelemetryEventBeforeStop) {
     JsonlTraceWriter plain_writer(plain_out);
     options.telemetry = nullptr;
     options.observer = &plain_writer;
-    simulate_counts(*protocol, initial, options);
+    run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
     EXPECT_EQ(plain_out.str().find("\"event\":\"telemetry\""), std::string::npos);
 }
 

@@ -11,9 +11,20 @@
 #include <string>
 #include <vector>
 
+#include "core/batch_simulator.h"
+#include "core/configuration.h"
+#include "core/simulator.h"
 #include "core/tabulated_protocol.h"
 
 namespace popproto::testutil {
+
+/// run_simulation with the engine pinned to `engine` (options.engine is
+/// overwritten): how tests reach one particular complete-graph engine.
+inline RunResult run_engine(SimulationEngine engine, const TabulatedProtocol& protocol,
+                            const CountConfiguration& initial, RunOptions options) {
+    options.engine = engine;
+    return run_simulation(protocol, initial, options);
+}
 
 // --- Minimal JSON validator (structure only) -----------------------------
 //
