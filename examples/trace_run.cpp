@@ -33,11 +33,6 @@
 //                collapsed mid-run as the effective-pair density crosses
 //                thresholds)
 //   --adaptive   shorthand for --engine adaptive
-//   --switch-thresholds ENTER,EXIT[,DWELL[,PERIOD]]
-//                adaptive dispatcher tuning: enter/exit the collapsed engine
-//                when the signal rho*E[L] crosses ENTER (up) / EXIT (down);
-//                DWELL = min interactions between switches, PERIOD = poll
-//                spacing (0 picks the defaults)
 //   --fluid-assist  adaptive runs only: fast-forward the dense transient
 //                with the mean-field ODE (approximate — the run is no
 //                longer an exact sample path)
@@ -129,8 +124,7 @@ using namespace popproto;
                  "usage: trace_run [epidemic|counting|majority|pavlov] [--predicate F] [--n N]\n"
                  "                 [--ones K] [--counts C0,C1,...] [--seed S] [--budget B]\n"
                  "                 [--engine batch|collapsed|agent|adaptive|auto|weighted|graph]\n"
-                 "                 [--adaptive] [--switch-thresholds ENTER,EXIT[,DWELL[,PERIOD]]]\n"
-                 "                 [--fluid-assist]\n"
+                 "                 [--adaptive] [--fluid-assist]\n"
                  "                 [--graph complete|ring|line|star]\n"
                  "                 [--model round_robin|sweep|adversarial|dynamic_graph|"
                  "grid_mobility]\n"
@@ -228,7 +222,7 @@ private:
         while (!wake_.wait_for(lock, std::chrono::seconds(1), [this] { return stop_; })) {
             const std::uint64_t t = collector_.live_interactions();
             const std::uint64_t now_ns = collector_.live_wall_ns();
-            if (now_ns <= last_ns) continue;  // telemetry compiled out / not started
+            if (now_ns <= last_ns) continue;  // no time has passed
             const double rate =
                 static_cast<double>(t - last_t) / (static_cast<double>(now_ns - last_ns) / 1e9);
             const double fraction =
@@ -279,8 +273,6 @@ int main(int argc, char** argv) {
     std::uint64_t every = 0;        // 0 = n / 4
     double log_factor = 0.0;        // 0 = use --every
     std::string engine_name;        // empty = batch, or kAuto with --resume
-    AdaptiveOptions adaptive_tuning;   // --switch-thresholds
-    bool adaptive_tuning_given = false;
     bool fluid_assist = false;
     std::string graph_name = "ring";
     ScenarioSpec scenario;              // --model et al.; scenario.model empty = engines
@@ -326,26 +318,6 @@ int main(int argc, char** argv) {
             }
         } else if (std::strcmp(arg, "--adaptive") == 0) {
             engine_name = "adaptive";
-        } else if (std::strcmp(arg, "--switch-thresholds") == 0) {
-            const std::string list = next();
-            std::vector<double> values;
-            std::size_t start = 0;
-            while (start <= list.size()) {
-                std::size_t comma = list.find(',', start);
-                if (comma == std::string::npos) comma = list.size();
-                values.push_back(
-                    parse_double(arg, list.substr(start, comma - start).c_str()));
-                start = comma + 1;
-            }
-            if (values.size() < 2 || values.size() > 4)
-                usage_error("--switch-thresholds: expected ENTER,EXIT[,DWELL[,PERIOD]]");
-            adaptive_tuning.enter_collapsed = values[0];
-            adaptive_tuning.exit_collapsed = values[1];
-            if (values.size() > 2)
-                adaptive_tuning.min_dwell = static_cast<std::uint64_t>(values[2]);
-            if (values.size() > 3)
-                adaptive_tuning.eval_period = static_cast<std::uint64_t>(values[3]);
-            adaptive_tuning_given = true;
         } else if (std::strcmp(arg, "--fluid-assist") == 0) {
             fluid_assist = true;
         } else if (std::strcmp(arg, "--graph") == 0) {
@@ -480,9 +452,8 @@ int main(int argc, char** argv) {
 
     const bool adaptive_run =
         engine_name == "adaptive" || (engine_name.empty() && resume_checkpoint.adaptive);
-    if ((adaptive_tuning_given || fluid_assist) && !adaptive_run)
-        usage_error("--switch-thresholds/--fluid-assist: require --engine adaptive "
-                    "(or --adaptive)");
+    if (fluid_assist && !adaptive_run)
+        usage_error("--fluid-assist: requires --engine adaptive (or --adaptive)");
 
     RunOptions options;
     options.max_interactions = budget != 0 ? budget : default_budget(n);
@@ -492,7 +463,6 @@ int main(int argc, char** argv) {
                             : SnapshotSchedule::every(every != 0 ? every : std::max<std::uint64_t>(
                                                                                n / 4, 1));
     if (!resume_path.empty()) options.resume_from = &resume_checkpoint;
-    options.adaptive = adaptive_tuning;
     if (fluid_assist) options.fluid_assist = make_fluid_assist_hook();
 
     std::unique_ptr<FileCheckpointSink> sink;
@@ -518,13 +488,7 @@ int main(int argc, char** argv) {
     options.observer = print_metrics ? static_cast<RunObserver*>(&tee) : &writer;
 
     telemetry::RunTelemetryCollector collector;
-    if (!profile_base.empty() || show_progress) {
-        if (!telemetry::kCompiledIn)
-            std::fprintf(stderr,
-                         "trace_run: warning: built with POPPROTO_TELEMETRY=OFF; --profile/"
-                         "--progress will report nothing\n");
-        options.telemetry = &collector;
-    }
+    if (!profile_base.empty() || show_progress) options.telemetry = &collector;
     std::unique_ptr<ProgressReporter> progress;
     if (show_progress) progress = std::make_unique<ProgressReporter>(collector, n);
 

@@ -16,7 +16,9 @@ Checks (exit 1 with a message on the first violation):
   traceEvents array;
   every event is a complete ("X", with ts/dur/name/tid) or metadata ("M")
   event; per tid, complete events nest properly (no half-overlaps — that
-  is what makes the flame graph render as a stack).
+  is what makes the flame graph render as a stack).  ts and dur are read
+  as exact decimals, so span ends compare exactly: a float ts + dur can
+  round one ulp past its parent's end and read as a half-overlap.
 
   Prometheus: every line is a comment or `name{labels} value` with a
   finite float value; every # TYPE names a popproto_* family that then
@@ -37,6 +39,7 @@ import json
 import math
 import re
 import sys
+from decimal import Decimal
 
 # RunTelemetry::kSchemaVersion (src/telemetry/telemetry.h).
 SCHEMA_VERSION = 2
@@ -50,7 +53,7 @@ def fail(message: str) -> None:
 def check_trace(path: str) -> None:
     with open(path) as f:
         try:
-            trace = json.load(f)
+            trace = json.load(f, parse_float=Decimal)
         except json.JSONDecodeError as error:
             fail(f"{path} is not valid JSON: {error}")
 

@@ -21,7 +21,9 @@
 #                                                 profile with its JSONL
 #                                                 switch events; all
 #                                                 artifacts validated by
-#                                                 scripts/check_telemetry.py)
+#                                                 scripts/check_telemetry.py,
+#                                                 which is itself checked on
+#                                                 two synthetic traces)
 #   5. scripts/check_service.py                  (service smoke: trace_run
 #                                                 SIGINT checkpointing, 1000
 #                                                 concurrent daemon sessions,
@@ -127,6 +129,31 @@ mkdir -p "$PROFILE_DIR"
     --no-counts --profile "$PROFILE_DIR/telemetry_smoke" > /dev/null
 python3 "$ROOT/scripts/check_telemetry.py" \
     "$PROFILE_DIR/telemetry_smoke.trace.json" "$PROFILE_DIR/telemetry_smoke.prom"
+# Checker self-test on two synthetic traces (next to the real exposition).
+# Span ends must compare exactly: the child below ends at exactly its
+# parent's end, 131809.915, but float ts + dur puts the parent one ulp short
+# (131809.91499999998), which a float comparison reads as a half-overlap.
+# A real half-overlap must still be refused.
+write_trace() { # <path> <parent ts> <parent dur> <child ts> <child dur>
+    cat > "$1" <<JSON
+{"displayTimeUnit":"ms",
+"otherData":{"schema_version":2,"engine":"collapsed","population":2},
+"traceEvents":[
+{"ph":"X","pid":0,"tid":0,"ts":$2,"dur":$3,"name":"super_step_apply"},
+{"ph":"X","pid":0,"tid":0,"ts":$4,"dur":$5,"name":"w_recompute"}
+]}
+JSON
+}
+write_trace "$PROFILE_DIR/selftest_nested.trace.json" 131383.004 426.911 131723.553 86.362
+write_trace "$PROFILE_DIR/selftest_overlap.trace.json" 100.000 50.000 120.000 40.000
+python3 "$ROOT/scripts/check_telemetry.py" "$PROFILE_DIR/selftest_nested.trace.json" \
+    "$PROFILE_DIR/telemetry_smoke.prom" > /dev/null
+if python3 "$ROOT/scripts/check_telemetry.py" "$PROFILE_DIR/selftest_overlap.trace.json" \
+    "$PROFILE_DIR/telemetry_smoke.prom" > /dev/null 2>&1; then
+    echo "ci.sh: FAIL: check_telemetry.py accepted a half-overlapping span" >&2
+    exit 1
+fi
+echo "ci.sh: check_telemetry.py nests exact span ends and refuses half-overlaps"
 # The same single-seed workload under the adaptive dispatcher crosses both
 # hysteresis thresholds (sparse -> dense -> sparse), so the checker can
 # validate the engine_switch JSONL events, the per-engine segment

@@ -156,7 +156,7 @@ RunResult engine_detail::run_adaptive(const TabulatedProtocol& protocol,
                 std::string("adaptive: cannot resume a ") +
                     observed_engine_name(cursor->engine) + " checkpoint");
         current = cursor->engine;
-        monitor.emplace(n, current, options.adaptive);
+        monitor.emplace(n, current);
         if (cursor->adaptive) {
             monitor->restore(cursor->adaptive_switches, cursor->adaptive_last_switch,
                              cursor->adaptive_next_eval);
@@ -171,7 +171,7 @@ RunResult engine_detail::run_adaptive(const TabulatedProtocol& protocol,
         // pass over the protocol's effective-transition list, no RNG draws,
         // no allocations (the probe is priced by bench_adaptive's sparse
         // control, whose whole run is microseconds).
-        EngineSwitchMonitor probe(n, ObservedEngine::kCountBatch, options.adaptive);
+        EngineSwitchMonitor probe(n, ObservedEngine::kCountBatch);
         std::uint64_t initial_pairs = 0;
         for (const EffectiveTransition& t : protocol.effective_transitions())
             initial_pairs += initial.counts()[t.initiator] *
@@ -180,7 +180,7 @@ RunResult engine_detail::run_adaptive(const TabulatedProtocol& protocol,
         current = probe.signal(initial_pairs) >= probe.enter_collapsed()
                       ? ObservedEngine::kCollapsed
                       : ObservedEngine::kCountBatch;
-        monitor.emplace(n, current, options.adaptive);
+        monitor.emplace(n, current);
 
         // Mean-field fast-forward (opt-in, dense entries only): skip the
         // deterministic bulk of the transient and re-enter the stochastic
@@ -198,14 +198,13 @@ RunResult engine_detail::run_adaptive(const TabulatedProtocol& protocol,
                         "adaptive: fluid_assist fast-forwarded past the interaction budget");
                 cursor = std::move(assist);
                 current = cursor->engine;
-                monitor.emplace(n, current, options.adaptive);
+                monitor.emplace(n, current);
                 monitor->restore(0, 0, cursor->interactions + monitor->eval_period());
             }
         }
     }
 
-    telemetry::RunTelemetryCollector* const collector =
-        telemetry::kCompiledIn ? options.telemetry : nullptr;
+    telemetry::RunTelemetryCollector* const collector = options.telemetry;
     if (collector)
         collector->begin_adaptive_run(n, cursor.has_value() ? cursor->interactions : 0);
 

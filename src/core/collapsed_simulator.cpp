@@ -72,7 +72,6 @@
 #include "core/require.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
-#include "core/simd.h"
 #include "telemetry/telemetry.h"
 
 namespace popproto {
@@ -112,7 +111,7 @@ public:
     /// stepper times the super-step sub-phases against it.  Probes never
     /// touch the RNG stream, so results are bit-identical either way.
     void set_telemetry(telemetry::RunTelemetryCollector* collector) {
-        collector_ = telemetry::kCompiledIn ? collector : nullptr;
+        collector_ = collector;
     }
 
     /// Draws the length L >= 1 of the maximal collision-free run: one
@@ -158,8 +157,8 @@ public:
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
             // New counts: the untouched agents keep their states; the 2m
             // touched agents land on the post-transition multiset.
-            simd::add_sub_sub(counts_.data(), touched_.data(), initiators_.data(),
-                              responders_.data(), num_states);
+            for (std::size_t q = 0; q < num_states; ++q)
+                counts_[q] += touched_[q] - initiators_[q] - responders_[q];
         }
 
         if (with_collision) {
@@ -319,9 +318,6 @@ private:
     // W = number of effective ordered agent pairs; W == 0 iff silent.
     // Recomputed O(|Q|^2) once per super-step (amortized over ~sqrt(n)
     // interactions, unlike the count-batch engine's per-step bookkeeping).
-    // Each row is a masked sum over the count vector (core/simd.h) — exact
-    // 64-bit integer arithmetic, so the SIMD and scalar paths agree bit for
-    // bit.
     void recompute_effective_pairs() {
         const std::size_t num_states = eff_.num_states;
         std::uint64_t w = 0;
@@ -329,7 +325,9 @@ private:
             if (counts_[p] == 0) continue;
             const std::uint8_t* row =
                 eff_.eff_row.data() + static_cast<std::size_t>(p) * num_states;
-            const std::uint64_t row_sum = simd::masked_sum(row, counts_.data(), num_states);
+            std::uint64_t row_sum = 0;
+            for (State q = 0; q < num_states; ++q)
+                if (row[q]) row_sum += counts_[q];
             w += counts_[p] * (row_sum - (row[p] ? 1 : 0));
         }
         effective_pairs_ = w;

@@ -22,8 +22,8 @@
 // is deterministic — pure integer/float arithmetic on counters the loop
 // already has — and its three words of mutable state (switch count, last
 // switch index, next poll index) ride in the checkpoint's `adaptive`
-// section so suspend/resume replays decisions exactly.  Thresholds are not
-// checkpointed; the caller re-supplies them like the seed.
+// section so suspend/resume replays decisions exactly.  The thresholds are
+// the fixed constants below, so they need no checkpointing.
 
 #ifndef POPPROTO_CORE_ENGINE_MONITOR_H
 #define POPPROTO_CORE_ENGINE_MONITOR_H
@@ -37,43 +37,41 @@
 
 namespace popproto {
 
-/// Tuning knobs of the phase-adaptive dispatcher (RunOptions::adaptive).
-/// Defaults come from bench_adaptive's measured collapsed/count-batch
-/// crossover on epidemic workloads at n = 2^20..2^24 (EXPERIMENTS.md).
-struct AdaptiveOptions {
-    /// Switch count-batch -> collapsed when x >= enter_collapsed.
-    double enter_collapsed = 48.0;
-    /// Switch collapsed -> count-batch when x <= exit_collapsed.  Must be
-    /// < enter_collapsed (the gap is the hysteresis band).
-    double exit_collapsed = 12.0;
-    /// Interactions between monitor polls; 0 resolves to n/64, clamped to
-    /// >= 256.  The density only evolves over Theta(n) interactions, so
-    /// ~64 polls per regime timescale detect a crossover with <2% lag —
-    /// polling faster (say per collapsed super-step, every ~sqrt(n)) buys
-    /// nothing and its per-poll float arithmetic is measurable against the
-    /// count-batch engine's O(1)-per-run sparse cost (bench_adaptive's
-    /// sparse control).
-    std::uint64_t eval_period = 0;
-    /// Minimum interactions between two switches; 0 resolves to
-    /// 4 * eval_period.
-    std::uint64_t min_dwell = 0;
+// The dispatcher's switch thresholds, from bench_adaptive's measured
+// collapsed/count-batch crossover on epidemic workloads at n = 2^20..2^24
+// (EXPERIMENTS.md).
 
-    friend bool operator==(const AdaptiveOptions&, const AdaptiveOptions&) = default;
-};
+/// Switch count-batch -> collapsed when x >= kEnterCollapsed.
+inline constexpr double kEnterCollapsed = 48.0;
+/// Switch collapsed -> count-batch when x <= kExitCollapsed (the gap to
+/// kEnterCollapsed is the hysteresis band).
+inline constexpr double kExitCollapsed = 12.0;
+/// Monitor polls per n interactions: the poll period is
+/// n / kPollsPerPopulation, at least kMinEvalPeriod.  The density only
+/// evolves over Theta(n) interactions, so ~64 polls per regime timescale
+/// detect a crossover with <2% lag — polling faster (say per collapsed
+/// super-step, every ~sqrt(n)) buys nothing and its per-poll float
+/// arithmetic is measurable against the count-batch engine's O(1)-per-run
+/// sparse cost (bench_adaptive's sparse control).
+inline constexpr std::uint64_t kPollsPerPopulation = 64;
+inline constexpr std::uint64_t kMinEvalPeriod = 256;
+/// Minimum interactions between two switches, in poll periods.
+inline constexpr std::uint64_t kMinDwellPeriods = 4;
 
 /// The monitor the adaptive driver (run_adaptive) hands to each engine
 /// segment's run_loop (core/engine_runners.h).  The run-loop kernel
 /// polls it at loop-top boundaries; when `consider` requests a switch the
 /// kernel captures a checkpoint-shaped state transfer and pauses, and the
 /// driver resumes it under the other engine.  Internal plumbing — not a
-/// user-facing option surface.
+/// user-facing option surface.  The dispatcher uses the default band and
+/// dwell; tests pass a tight band to drive the hysteresis directly.
 class EngineSwitchMonitor {
 public:
+    /// `min_dwell` 0 means kMinDwellPeriods poll periods.
     EngineSwitchMonitor(std::uint64_t population, ObservedEngine entry_engine,
-                        const AdaptiveOptions& options)
-        : enter_(options.enter_collapsed),
-          exit_(options.exit_collapsed),
-          current_(entry_engine) {
+                        double enter_collapsed = kEnterCollapsed,
+                        double exit_collapsed = kExitCollapsed, std::uint64_t min_dwell = 0)
+        : enter_(enter_collapsed), exit_(exit_collapsed), current_(entry_engine) {
         require(population >= 2, "EngineSwitchMonitor: need at least two agents");
         require(enter_ > exit_ && exit_ >= 0.0,
                 "adaptive: adaptive thresholds must satisfy "
@@ -84,9 +82,8 @@ public:
         const double n = static_cast<double>(population);
         total_pairs_ = n * (n - 1.0);
         expected_run_length_ = 1.2533141373155003 * std::sqrt(n);
-        period_ = options.eval_period != 0 ? options.eval_period
-                                           : std::max<std::uint64_t>(population / 64, 256);
-        dwell_ = options.min_dwell != 0 ? options.min_dwell : 4 * period_;
+        period_ = std::max(population / kPollsPerPopulation, kMinEvalPeriod);
+        dwell_ = min_dwell != 0 ? min_dwell : kMinDwellPeriods * period_;
         next_eval_ = period_;
 
         // Integer images of the float thresholds: the smallest W whose

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/simd.h"
 
 namespace popproto {
 
@@ -102,15 +101,14 @@ double log_choose(double a, double b) noexcept {
 
 // log of the hypergeometric pmf at k:
 //   log [ C(s, k) C(f, d - k) / C(s + f, d) ]
-// expanded into its nine log-factorials and evaluated as a 4+4 signed
-// vector sum (core/simd.h) plus the one trailing term.  Identical grouping
-// in the SIMD and scalar builds keeps the two bit-compatible.
+// expanded into its nine log-factorials.  The grouping of the sum is part
+// of the sampler's contract: every draw (and so every collapsed run) is
+// pinned bit for bit by the golden-stream tests.
 double hypergeometric_log_pmf(double s, double f, double d, double k) noexcept {
-    const double plus[4] = {log_factorial(s), log_factorial(f), log_factorial(d),
-                            log_factorial(s + f - d)};
-    const double minus[4] = {log_factorial(k), log_factorial(s - k),
-                             log_factorial(d - k), log_factorial(f - d + k)};
-    return simd::sum4_minus_sum4(plus, minus) - log_factorial(s + f);
+    return ((log_factorial(s) - log_factorial(k)) + (log_factorial(f) - log_factorial(s - k))) +
+           ((log_factorial(d) - log_factorial(d - k)) +
+            (log_factorial(s + f - d) - log_factorial(f - d + k))) -
+           log_factorial(s + f);
 }
 
 }  // namespace

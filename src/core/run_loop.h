@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "core/configuration.h"
+#include "core/engine_monitor.h"
 #include "core/observer.h"
 #include "core/require.h"
 #include "core/rng.h"
@@ -338,12 +339,10 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     result.engine = S::kEngine;
 
     // Performance probes.  A null collector (the default) costs one
-    // predicted branch per site; with POPPROTO_TELEMETRY=OFF the sites
-    // compile out entirely.  Telemetry never draws randomness and never
+    // predicted branch per site.  Telemetry never draws randomness and never
     // reads the stepper configuration, so the RunResult is bit-identical
     // with and without it (tests/telemetry_test.cpp).
-    telemetry::RunTelemetryCollector* const collector =
-        telemetry::kCompiledIn ? options.telemetry : nullptr;
+    telemetry::RunTelemetryCollector* const collector = options.telemetry;
     if (collector) collector->begin_run(observed_engine_name(S::kEngine), n);
 
     std::uint64_t next_check = check_period;

@@ -29,7 +29,6 @@
 #include <string>
 
 #include "core/configuration.h"
-#include "core/engine_monitor.h"
 #include "core/observer.h"
 #include "core/rng.h"
 #include "core/tabulated_protocol.h"
@@ -191,19 +190,14 @@ struct RunOptions {
     /// itself in begin_run), so `measure_trials` rejects it.
     telemetry::RunTelemetryCollector* telemetry = nullptr;
 
-    /// Phase-adaptive dispatcher tuning (engine == kAdaptive, or kAuto runs
-    /// large enough that run_simulation routes them adaptively): hysteresis
-    /// thresholds on the density signal x = rho * E[L], the monitor poll
-    /// period, and the minimum dwell between switches (engine_monitor.h).
-    AdaptiveOptions adaptive;
-
     /// Opt-in mean-field fast-forward for the adaptive dispatcher; empty
     /// (the default) means off.  When set and the run enters on the dense
     /// (collapsed) side, the dispatcher calls it once before simulating: it
     /// hands the dense bulk to the fluid-limit ODE and returns a synthetic
     /// count-engine checkpoint at the predicted collapse of the signal
-    /// below adaptive.exit_collapsed to resume from, or nullopt to decline
-    /// (e.g. the ODE never leaves the dense regime within its horizon).
+    /// below kExitCollapsed (engine_monitor.h) to resume from, or nullopt
+    /// to decline (e.g. the ODE never leaves the dense regime within its
+    /// horizon).
     /// This is an *approximation* — the resumed trajectory is sampled from
     /// the mean-field densities, not the exact chain, and interaction
     /// counters advance by the fluid estimate — so it is excluded from every

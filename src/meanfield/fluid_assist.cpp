@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/effect_tables.h"
+#include "core/engine_monitor.h"
 #include "core/require.h"
 #include "core/rng.h"
 
@@ -82,19 +83,18 @@ decltype(RunOptions::fluid_assist) make_fluid_assist_hook(FluidOptions fluid_opt
         // then bisection inside the bracketing interval.
         const EffectTables eff(protocol);
         const double expected_run_length = 1.2533141373155003 * std::sqrt(nd);
-        const double exit_threshold = options.adaptive.exit_collapsed;
         const auto signal_at = [&](double t) {
             return effective_pair_density(eff, fluid.solution.density_at(t)) *
                    expected_run_length;
         };
 
-        if (signal_at(0.0) <= exit_threshold) return std::nullopt;  // starts sparse
+        if (signal_at(0.0) <= kExitCollapsed) return std::nullopt;  // starts sparse
         constexpr int kScanSamples = 1024;
         double lo = 0.0;
         double hi = -1.0;
         for (int k = 1; k <= kScanSamples; ++k) {
             const double t = t_reached * static_cast<double>(k) / kScanSamples;
-            if (signal_at(t) <= exit_threshold) {
+            if (signal_at(t) <= kExitCollapsed) {
                 hi = t;
                 break;
             }
@@ -103,7 +103,7 @@ decltype(RunOptions::fluid_assist) make_fluid_assist_hook(FluidOptions fluid_opt
         if (hi < 0.0) return std::nullopt;  // never leaves the dense regime
         for (int iter = 0; iter < 50 && hi - lo > 1e-12 * t_reached; ++iter) {
             const double mid = 0.5 * (lo + hi);
-            (signal_at(mid) <= exit_threshold ? hi : lo) = mid;
+            (signal_at(mid) <= kExitCollapsed ? hi : lo) = mid;
         }
         const double t_cross = hi;
 

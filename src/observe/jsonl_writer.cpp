@@ -12,38 +12,6 @@ namespace popproto {
 
 namespace {
 
-/// JSON string escaping (quotes, backslashes, control characters).
-void append_json_string(std::ostringstream& out, const std::string& text) {
-    out << '"';
-    for (const char c : text) {
-        switch (c) {
-            case '"':
-                out << "\\\"";
-                break;
-            case '\\':
-                out << "\\\\";
-                break;
-            case '\n':
-                out << "\\n";
-                break;
-            case '\t':
-                out << "\\t";
-                break;
-            case '\r':
-                out << "\\r";
-                break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    constexpr char kHex[] = "0123456789abcdef";
-                    out << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
-                } else {
-                    out << c;
-                }
-        }
-    }
-    out << '"';
-}
-
 void append_counts(std::ostringstream& out, const std::vector<std::uint64_t>& counts) {
     out << "\"counts\":[";
     for (std::size_t q = 0; q < counts.size(); ++q) {
@@ -135,7 +103,7 @@ void JsonlTraceWriter::on_start(const RunStartInfo& info) {
         line << ",\"state_names\":[";
         for (State q = 0; q < info.protocol->num_states(); ++q) {
             if (q != 0) line << ',';
-            append_json_string(line, info.protocol->state_name(q));
+            line << json_quote(info.protocol->state_name(q));
         }
         line << ']';
     }
@@ -172,7 +140,7 @@ void JsonlTraceWriter::on_engine_switch(const EngineSwitchInfo& info) {
 }
 
 void JsonlTraceWriter::on_stop(const RunResult& result, double wall_seconds) {
-    if (result.telemetry != nullptr && result.telemetry->enabled)
+    if (result.telemetry != nullptr)
         write_line(telemetry_line(*result.telemetry));
     std::ostringstream line;
     line << "{\"event\":\"stop\",\"reason\":\"" << stop_reason_name(result.stop_reason)
@@ -193,6 +161,42 @@ void JsonlTraceWriter::on_stop(const RunResult& result, double wall_seconds) {
     write_line(line.str());
     const std::lock_guard<std::mutex> lock(mutex_);
     if (out_ != nullptr) out_->flush();
+}
+
+std::string json_quote(const std::string& text) {
+    std::string out;
+    out.reserve(text.size() + 2);
+    out += '"';
+    for (const char c : text) {
+        switch (c) {
+            case '"':
+                out += "\\\"";
+                break;
+            case '\\':
+                out += "\\\\";
+                break;
+            case '\n':
+                out += "\\n";
+                break;
+            case '\t':
+                out += "\\t";
+                break;
+            case '\r':
+                out += "\\r";
+                break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    constexpr char kHex[] = "0123456789abcdef";
+                    out += "\\u00";
+                    out += kHex[(c >> 4) & 0xf];
+                    out += kHex[c & 0xf];
+                } else {
+                    out += c;
+                }
+        }
+    }
+    out += '"';
+    return out;
 }
 
 }  // namespace popproto

@@ -28,6 +28,11 @@
 
 namespace popproto {
 
+/// Escapes `text` as a JSON string literal (including the quotes): quotes,
+/// backslashes and control characters.  The one escaper of the JSONL trace
+/// and the service wire.
+std::string json_quote(const std::string& text);
+
 class JsonlTraceWriter final : public RunObserver {
 public:
     /// Writes to a borrowed stream (e.g. std::cout or an ostringstream);

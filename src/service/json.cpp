@@ -345,42 +345,6 @@ std::string JsonValue::to_string() const {
     return out;
 }
 
-std::string json_quote(const std::string& text) {
-    std::string out;
-    out.reserve(text.size() + 2);
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-            case '"':
-                out += "\\\"";
-                break;
-            case '\\':
-                out += "\\\\";
-                break;
-            case '\n':
-                out += "\\n";
-                break;
-            case '\t':
-                out += "\\t";
-                break;
-            case '\r':
-                out += "\\r";
-                break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    constexpr char kHex[] = "0123456789abcdef";
-                    out += "\\u00";
-                    out += kHex[(c >> 4) & 0xf];
-                    out += kHex[c & 0xf];
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-    return out;
-}
-
 JsonValue parse_json(const std::string& text) { return Parser(text).parse(); }
 
 }  // namespace popproto::service

@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "observe/jsonl_writer.h"
+
 namespace popproto::service {
 
 class JsonValue {
@@ -81,8 +83,9 @@ private:
 /// byte offset of the problem: "json: offset 17: expected ':'".
 JsonValue parse_json(const std::string& text);
 
-/// Escapes `text` as a JSON string literal (including the quotes).
-std::string json_quote(const std::string& text);
+/// The one JSON string escaper (observe/jsonl_writer.h), shared with the
+/// JSONL trace.
+using popproto::json_quote;
 
 }  // namespace popproto::service
 

@@ -483,21 +483,25 @@ RunRegistry::Settled RunRegistry::settle_after_quantum(Session& session,
 
 void RunRegistry::evict_lru_locked() {
     for (;;) {
+        // Every suspended session is resident, including one suspended
+        // before its first quantum (no checkpoint yet): evicting it spills
+        // only its manifest, and its next quantum starts fresh.
         std::vector<Session*> resident;
         for (auto& [id, session] : sessions_) {
-            if (session->state == SessionState::kSuspended && session->checkpoint.has_value())
-                resident.push_back(session.get());
+            if (session->state == SessionState::kSuspended) resident.push_back(session.get());
         }
         if (resident.size() <= options_.max_resident_suspended) return;
         Session* victim = *std::min_element(
             resident.begin(), resident.end(), [](const Session* a, const Session* b) {
                 return a->last_dispatched < b->last_dispatched;
             });
-        store_.save_checkpoint(victim->id, *victim->checkpoint);
+        if (victim->checkpoint.has_value()) {
+            store_.save_checkpoint(victim->id, *victim->checkpoint);
+            victim->checkpoint.reset();
+            victim->checkpoint_on_disk = true;
+        }
         store_.save_manifest(victim->id, manifest_json(*victim));
-        victim->checkpoint.reset();
         victim->protocol.reset();
-        victim->checkpoint_on_disk = true;
         victim->state = SessionState::kEvicted;
         ++evictions_;
     }

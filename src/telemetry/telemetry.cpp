@@ -104,11 +104,9 @@ void TelemetryRegistry::clear() {
     histograms_.clear();
 }
 
-RunTelemetryCollector::RunTelemetryCollector(std::size_t max_spans)
-    : max_spans_(max_spans), data_(std::make_shared<RunTelemetry>()) {}
+RunTelemetryCollector::RunTelemetryCollector() : data_(std::make_shared<RunTelemetry>()) {}
 
 void RunTelemetryCollector::reset() {
-    if constexpr (!kCompiledIn) return;
     // A fresh RunTelemetry rather than clearing in place: the previous run's
     // result may still be shared via RunResult::telemetry.
     data_ = std::make_shared<RunTelemetry>();
@@ -124,7 +122,6 @@ void RunTelemetryCollector::reset() {
 }
 
 void RunTelemetryCollector::begin_run(const char* engine, std::uint64_t population) {
-    if constexpr (!kCompiledIn) return;
     if (adaptive_scope_ && running_) {
         // Segment boundary inside an adaptive run: keep the epoch, phase
         // stats, and counters accumulating; just note which concrete engine
@@ -135,10 +132,9 @@ void RunTelemetryCollector::begin_run(const char* engine, std::uint64_t populati
     }
     reset();
     epoch_ = std::chrono::steady_clock::now();
-    data_->enabled = true;
     data_->engine = engine;
     data_->population = population;
-    data_->spans.reserve(std::min<std::size_t>(max_spans_, 4096));
+    data_->spans.reserve(std::min<std::size_t>(kMaxSpans, 4096));
     // reset() cleared the registry, so the instruments are resolved afresh.
     skip_lengths_ = &registry_.histogram("null_skip_length_log2");
     super_step_pairs_ = &registry_.histogram("super_step_pairs_log2");
@@ -147,7 +143,6 @@ void RunTelemetryCollector::begin_run(const char* engine, std::uint64_t populati
 
 void RunTelemetryCollector::finish_run(std::uint64_t interactions,
                                        std::uint64_t effective_interactions) {
-    if constexpr (!kCompiledIn) return;
     if (!running_) return;
     if (adaptive_scope_) {
         // Segment boundary: close this segment's attribution entry using
@@ -190,7 +185,6 @@ void RunTelemetryCollector::finish_run(std::uint64_t interactions,
 
 void RunTelemetryCollector::begin_adaptive_run(std::uint64_t population,
                                                std::uint64_t start_interactions) {
-    if constexpr (!kCompiledIn) return;
     begin_run("adaptive", population);
     adaptive_scope_ = true;
     segment_boundary_interactions_ = start_interactions;
@@ -198,7 +192,6 @@ void RunTelemetryCollector::begin_adaptive_run(std::uint64_t population,
 
 void RunTelemetryCollector::finish_adaptive_run(std::uint64_t interactions,
                                                 std::uint64_t effective_interactions) {
-    if constexpr (!kCompiledIn) return;
     adaptive_scope_ = false;
     if (running_) {
         data_->engine_switches =
@@ -209,13 +202,12 @@ void RunTelemetryCollector::finish_adaptive_run(std::uint64_t interactions,
 
 void RunTelemetryCollector::record_phase(Phase phase, std::uint64_t begin_ns,
                                          std::uint64_t end_ns) {
-    if constexpr (!kCompiledIn) return;
     const std::uint64_t duration = end_ns > begin_ns ? end_ns - begin_ns : 0;
     PhaseStat& stat = data_->phases[static_cast<std::size_t>(phase)];
     ++stat.calls;
     stat.total_ns += duration;
     if (duration > stat.max_ns) stat.max_ns = duration;
-    if (data_->spans.size() < max_spans_) {
+    if (data_->spans.size() < kMaxSpans) {
         data_->spans.push_back({phase, begin_ns, end_ns});
     } else {
         ++data_->spans_dropped;
@@ -223,14 +215,12 @@ void RunTelemetryCollector::record_phase(Phase phase, std::uint64_t begin_ns,
 }
 
 void RunTelemetryCollector::record_skip(std::uint64_t length) {
-    if constexpr (!kCompiledIn) return;
     ++data_->geometric_skips;
     data_->null_interactions_skipped += length;
     skip_lengths_->record(length);
 }
 
 void RunTelemetryCollector::record_super_step(std::uint64_t pairs, bool clamped) {
-    if constexpr (!kCompiledIn) return;
     ++data_->super_steps;
     if (clamped) ++data_->clamped_super_steps;
     data_->super_step_pairs += pairs;

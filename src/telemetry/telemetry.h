@@ -16,9 +16,6 @@
 //    one predicted-not-taken branch per probe site — no clock reads, no
 //    stores.  bench_observe's *TelemetryOff rows pin this at <= 2% against
 //    the unobserved baselines.
-//  * POPPROTO_TELEMETRY=OFF at configure time compiles every probe body out
-//    entirely (kCompiledIn == false below); the API keeps compiling so call
-//    sites need no #ifdefs.
 //  * Telemetry never touches the RNG stream or the configuration: a run
 //    with a collector attached is bit-identical (same interactions, same
 //    RunResult) to one without, on every engine — proven by
@@ -44,16 +41,7 @@
 #include <string_view>
 #include <vector>
 
-#ifndef POPPROTO_TELEMETRY_ENABLED
-#define POPPROTO_TELEMETRY_ENABLED 1
-#endif
-
 namespace popproto::telemetry {
-
-/// False when the tree was configured with -DPOPPROTO_TELEMETRY=OFF: every
-/// probe below compiles to an empty inline body and exporters see an
-/// all-zero RunTelemetry with enabled == false.
-inline constexpr bool kCompiledIn = POPPROTO_TELEMETRY_ENABLED != 0;
 
 // ---------------------------------------------------------------------------
 // Phases
@@ -183,9 +171,6 @@ struct RunTelemetry {
     /// prometheus HELP text, JsonlTraceWriter's "telemetry" event).
     static constexpr int kSchemaVersion = 2;
 
-    /// True iff probes were compiled in AND a collector was attached.
-    bool enabled = false;
-
     std::string engine;  ///< observed_engine_name of the executing engine
     std::uint64_t population = 0;
 
@@ -239,9 +224,11 @@ struct RunTelemetry {
 /// here via telemetry()).  Reusable across runs after reset().
 class RunTelemetryCollector {
 public:
-    /// `max_spans` bounds the Chrome-trace span log (drops are counted in
+    /// Capacity of the Chrome-trace span log (drops are counted in
     /// RunTelemetry::spans_dropped).
-    explicit RunTelemetryCollector(std::size_t max_spans = std::size_t{1} << 15);
+    static constexpr std::size_t kMaxSpans = std::size_t{1} << 15;
+
+    RunTelemetryCollector();
 
     /// Nanoseconds since the collector epoch (set by begin_run).
     std::uint64_t now_ns() const {
@@ -251,7 +238,7 @@ public:
                 .count());
     }
 
-    // --- probes (no-ops when !kCompiledIn) --------------------------------
+    // --- probes -------------------------------------------------------------
 
     void begin_run(const char* engine, std::uint64_t population);
     void finish_run(std::uint64_t interactions, std::uint64_t effective_interactions);
@@ -280,7 +267,6 @@ public:
 
     /// Publishes the loop's interaction counter for concurrent polling.
     void publish_interactions(std::uint64_t interactions) {
-        if constexpr (!kCompiledIn) return;
         live_interactions_.store(interactions, std::memory_order_relaxed);
     }
 
@@ -291,8 +277,8 @@ public:
         return live_interactions_.load(std::memory_order_relaxed);
     }
 
-    /// Wall nanoseconds since begin_run (any thread; 0 before begin_run).
-    std::uint64_t live_wall_ns() const { return kCompiledIn ? now_ns() : 0; }
+    /// Wall nanoseconds since begin_run (any thread).
+    std::uint64_t live_wall_ns() const { return now_ns(); }
 
     // --- post-run API ------------------------------------------------------
 
@@ -308,7 +294,6 @@ public:
     void reset();
 
 private:
-    const std::size_t max_spans_;
     std::chrono::steady_clock::time_point epoch_{};
     std::shared_ptr<RunTelemetry> data_;
     std::atomic<std::uint64_t> live_interactions_{0};
@@ -326,12 +311,12 @@ private:
 };
 
 /// RAII phase timer: records one record_phase interval on destruction.
-/// With a null collector (telemetry disabled at runtime) or kCompiledIn ==
-/// false it performs no clock reads at all.
+/// With a null collector (telemetry disabled) it performs no clock reads at
+/// all.
 class ScopedTimer {
 public:
     ScopedTimer(RunTelemetryCollector* collector, Phase phase)
-        : collector_(kCompiledIn ? collector : nullptr), phase_(phase) {
+        : collector_(collector), phase_(phase) {
         if (collector_ != nullptr) begin_ns_ = collector_->now_ns();
     }
     ~ScopedTimer() {

@@ -3,6 +3,7 @@
 // switch boundary, dwell-based thrash suppression, entry-engine selection,
 // and per-engine telemetry attribution.
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -200,32 +201,43 @@ TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
     }
 }
 
-// Thrash regression: min_dwell pins the minimum distance between switches
-// even under pathologically tight hysteresis.
-TEST(AdaptiveSimulator, MinDwellSuppressesThrashing) {
-    const auto protocol = make_epidemic_protocol();
-    const auto initial =
-        CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
+// Thrash regression: the dwell pins the minimum distance between switches
+// even under pathologically tight hysteresis.  Driven at the monitor level
+// with a density signal that flips across the whole band at every poll.
+TEST(EngineSwitchMonitor, MinDwellSuppressesThrashing) {
+    constexpr std::uint64_t kDwell = 50000;
+    EngineSwitchMonitor monitor(kPopulation, ObservedEngine::kCountBatch, 13.0, 12.0, kDwell);
+    ASSERT_EQ(monitor.min_dwell(), kDwell);
 
-    // Tight hysteresis: enter barely above exit invites a switch at nearly
-    // every poll while the signal hovers near the band.
-    SwitchRecorder recorder;
-    RunOptions options = adaptive_options(5);
-    options.adaptive.enter_collapsed = 13.0;
-    options.adaptive.exit_collapsed = 12.0;
-    options.adaptive.min_dwell = 50000;
-    options.observer = &recorder;
-    const RunResult result = run_engine(SimulationEngine::kAdaptive, *protocol, initial, options);
-    EXPECT_EQ(result.stop_reason, StopReason::kSilent);
+    // W at signal x: x = W / (n(n-1)) * E[L], so W = x * n(n-1) / E[L].
+    const double n = static_cast<double>(kPopulation);
+    const double per_unit_signal = n * (n - 1.0) / (1.2533141373155003 * std::sqrt(n));
+    const auto dense = static_cast<std::uint64_t>(20.0 * per_unit_signal);
+    const auto sparse = static_cast<std::uint64_t>(5.0 * per_unit_signal);
+    ASSERT_GE(monitor.signal(dense), 13.0);
+    ASSERT_LE(monitor.signal(sparse), 12.0);
 
-    std::uint64_t previous = 0;
-    for (const EngineSwitchInfo& info : recorder.switches) {
-        if (previous != 0) {
-            EXPECT_GE(info.interactions - previous, options.adaptive.min_dwell)
-                << "switches thrash faster than min_dwell";
+    std::vector<std::uint64_t> switches;
+    std::uint64_t polls = 0;
+    while (monitor.next_eval() < 20 * kDwell) {
+        const std::uint64_t t = monitor.next_eval();
+        if (monitor.consider(t, ++polls % 2 == 0 ? dense : sparse)) {
+            monitor.commit_switch(t);
+            switches.push_back(t);
         }
-        previous = info.interactions;
     }
+    // The band is crossed at every poll, so only the dwell holds switches
+    // back: many fire, and no two closer than the dwell.
+    EXPECT_GE(switches.size(), 10u);
+    for (std::size_t k = 1; k < switches.size(); ++k)
+        EXPECT_GE(switches[k] - switches[k - 1], kDwell)
+            << "switches thrash faster than the dwell";
+
+    // The default dwell is kMinDwellPeriods poll periods.
+    const EngineSwitchMonitor defaults(kPopulation, ObservedEngine::kCountBatch);
+    EXPECT_EQ(defaults.min_dwell(), kMinDwellPeriods * defaults.eval_period());
+    EXPECT_EQ(defaults.enter_collapsed(), kEnterCollapsed);
+    EXPECT_EQ(defaults.exit_collapsed(), kExitCollapsed);
 }
 
 // Entry engine comes from the initial density, and telemetry attributes
@@ -240,26 +252,22 @@ TEST(AdaptiveSimulator, EntryEngineAndSegmentAttribution) {
         CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
     const RunResult sparse_run = run_engine(SimulationEngine::kAdaptive,
                                             *protocol, sparse, options);
-    if (telemetry::kCompiledIn) {
-        const telemetry::RunTelemetry& data = sparse_collector.telemetry();
-        ASSERT_FALSE(data.engine_segments.empty());
-        EXPECT_EQ(data.engine, "adaptive");
-        EXPECT_EQ(data.engine_segments.front().engine, "count_batch");
-        EXPECT_EQ(data.engine_switches, data.engine_segments.size() - 1);
-        std::uint64_t attributed = 0;
-        for (const auto& segment : data.engine_segments) attributed += segment.interactions;
-        EXPECT_EQ(attributed, sparse_run.interactions);
-    }
+    const telemetry::RunTelemetry& data = sparse_collector.telemetry();
+    ASSERT_FALSE(data.engine_segments.empty());
+    EXPECT_EQ(data.engine, "adaptive");
+    EXPECT_EQ(data.engine_segments.front().engine, "count_batch");
+    EXPECT_EQ(data.engine_switches, data.engine_segments.size() - 1);
+    std::uint64_t attributed = 0;
+    for (const auto& segment : data.engine_segments) attributed += segment.interactions;
+    EXPECT_EQ(attributed, sparse_run.interactions);
 
     telemetry::RunTelemetryCollector dense_collector;
     options.telemetry = &dense_collector;
     const auto dense = CountConfiguration::from_input_counts(
         *protocol, {kPopulation / 2, kPopulation / 2});
     run_engine(SimulationEngine::kAdaptive, *protocol, dense, options);
-    if (telemetry::kCompiledIn) {
-        ASSERT_FALSE(dense_collector.telemetry().engine_segments.empty());
-        EXPECT_EQ(dense_collector.telemetry().engine_segments.front().engine, "collapsed");
-    }
+    ASSERT_FALSE(dense_collector.telemetry().engine_segments.empty());
+    EXPECT_EQ(dense_collector.telemetry().engine_segments.front().engine, "collapsed");
 }
 
 // A checkpoint taken by a *static* engine run can be adopted by the

@@ -29,8 +29,8 @@
 
 #include "core/batch_simulator.h"
 #include "core/observer.h"
+#include "core/rng.h"
 #include "core/run_loop.h"
-#include "core/simd.h"
 #include "core/simulator.h"
 #include "observe/trace_recorder.h"
 #include "presburger/atom_protocols.h"
@@ -325,37 +325,46 @@ TEST(CollapsedSimulator, EngineNameRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD kernels (core/simd.h) behind the super-step delta, the W recount, and
-// the hypergeometric log-pmf: exact against their scalar definitions
+// Golden streams: exact values pinned for fixed seeds.  The distributional
+// tests above would pass for any correct sampler; these fail on any change
+// to the arithmetic behind the draws (the hypergeometric log-pmf grouping,
+// the super-step delta merge, the W recount), so every such change is a
+// visible decision rather than a silent change of every seeded run.
 
-TEST(SimdKernels, AddSubSubMatchesScalar) {
-    // Odd length exercises the scalar tail after the vector loop; the
-    // "underflowing" intermediate (add < sub1 + sub2 element-wise for some
-    // entries) must wrap back exactly.
-    const std::vector<std::uint64_t> add = {5, 0, 7, 100, 2, 9, 1};
-    const std::vector<std::uint64_t> sub1 = {1, 0, 9, 50, 0, 3, 0};
-    const std::vector<std::uint64_t> sub2 = {2, 0, 1, 50, 1, 6, 1};
-    std::vector<std::uint64_t> dst = {10, 20, 30, 40, 50, 60, 70};
-    std::vector<std::uint64_t> expected = dst;
-    for (std::size_t i = 0; i < dst.size(); ++i) expected[i] += add[i] - sub1[i] - sub2[i];
-    simd::add_sub_sub(dst.data(), add.data(), sub1.data(), sub2.data(), dst.size());
-    EXPECT_EQ(dst, expected);
+TEST(GoldenStreams, HypergeometricDraws) {
+    // Inside the log-factorial table (first two) and past it, on the
+    // lgamma fallback (last two).
+    struct Case {
+        std::uint64_t successes, failures, draws;
+    };
+    const Case cases[] = {{1000, 3000, 500},
+                          {40, 17, 23},
+                          {3000000000, 5000000000, 1000000},
+                          {1 << 20, 1 << 21, 1 << 12}};
+    const std::vector<std::uint64_t> expected = {120, 16, 374891, 1406, 140, 13,
+                                                 374673, 1361, 124, 17, 373929, 1401};
+    Rng rng(20260419);
+    std::vector<std::uint64_t> drawn;
+    while (drawn.size() < expected.size())
+        for (const Case& c : cases)
+            drawn.push_back(rng.hypergeometric(c.successes, c.failures, c.draws));
+    EXPECT_EQ(drawn, expected);
 }
 
-TEST(SimdKernels, MaskedSumMatchesScalar) {
-    const std::vector<std::uint8_t> mask = {1, 0, 1, 1, 0, 0, 1};
-    const std::vector<std::uint64_t> values = {4, 100, 6, 1, 200, 300, 9};
-    EXPECT_EQ(simd::masked_sum(mask.data(), values.data(), values.size()), 4u + 6 + 1 + 9);
-    EXPECT_EQ(simd::masked_sum(mask.data(), values.data(), 0), 0u);
-}
-
-TEST(SimdKernels, Sum4MinusSum4MatchesScalarAssociation) {
-    const double plus[4] = {1.5, 2.25, -3.0, 4.125};
-    const double minus[4] = {0.5, 1.0, 2.0, -1.25};
-    const double expected = ((plus[0] - minus[0]) + (plus[1] - minus[1])) +
-                            ((plus[2] - minus[2]) + (plus[3] - minus[3]));
-    // Bit-identical, not just close: both paths use the same association.
-    EXPECT_EQ(simd::sum4_minus_sum4(plus, minus), expected);
+TEST(GoldenStreams, CollapsedEpidemicRun) {
+    const auto protocol = make_epidemic_protocol();
+    constexpr std::uint64_t n = std::uint64_t{1} << 16;
+    const auto initial = CountConfiguration::from_state_counts({n - 1, 1});
+    const std::pair<std::uint64_t, std::uint64_t> expected[] = {{7, 799025}, {8, 792171}};
+    for (const auto& [seed, interactions] : expected) {
+        RunOptions options;
+        options.seed = seed;
+        const RunResult result =
+            run_engine(SimulationEngine::kCollapsedBatch, *protocol, initial, options);
+        EXPECT_EQ(result.stop_reason, StopReason::kSilent) << "seed " << seed;
+        EXPECT_EQ(result.interactions, interactions) << "seed " << seed;
+        EXPECT_EQ(result.effective_interactions, n - 1) << "seed " << seed;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -461,6 +461,50 @@ TEST(RunRegistryTest, SuspendEvictResumeIsBitIdentical) {
     std::filesystem::remove_all(options.spill_dir);
 }
 
+TEST(RunRegistryTest, NeverDispatchedSuspendEvictsAndResumesFresh) {
+    RegistryOptions options;
+    options.workers = 1;
+    options.max_resident_suspended = 0;  // every suspend spills immediately
+    options.spill_dir = fresh_dir("popproto_registry_evict_fresh");
+    RunRegistry registry(options);
+
+    // The one worker is held by a session whose single quantum is its
+    // whole budget (seconds of agent-array work at n = 2^22, cancelled
+    // below), so the session submitted next cannot be dispatched before it
+    // is suspended.
+    SessionSpec holder = long_running_spec();
+    holder.counts = {(std::uint64_t{1} << 22) - 1, 1};
+    holder.budget = std::uint64_t{1} << 27;
+    holder.quantum = holder.budget;
+    const std::string held = registry.submit(holder);
+    wait_for(registry, held,
+             [](const SessionStatus& s) { return s.state == SessionState::kRunning; });
+
+    SessionSpec spec;
+    spec.protocol = "epidemic";
+    spec.counts = {255, 1};
+    spec.seed = 3;
+    spec.engine = "batch";
+    spec.quantum = 200;
+    const std::string id = registry.submit(spec);
+    registry.suspend(id);
+    const SessionStatus evicted = registry.status(id);
+    EXPECT_EQ(evicted.state, SessionState::kEvicted);
+    EXPECT_EQ(evicted.quanta, 0u);
+    EXPECT_FALSE(registry.store().has_checkpoint(id)) << "nothing ran, nothing to spill";
+    EXPECT_EQ(registry.status(held).state, SessionState::kRunning);
+
+    // Resumed, it starts fresh and finishes exactly like a run that was
+    // never suspended.
+    registry.cancel(held);
+    registry.resume(id);
+    registry.wait_idle();
+    const SessionStatus final_status = registry.status(id);
+    EXPECT_EQ(final_status.state, SessionState::kDone);
+    expect_matches_direct(final_status, direct_run(spec));
+    std::filesystem::remove_all(options.spill_dir);
+}
+
 TEST(RunRegistryTest, CancelIsTerminalAndIdempotentWhereMeaningful) {
     RegistryOptions options;
     options.spill_dir = fresh_dir("popproto_registry_cancel");

@@ -141,9 +141,7 @@ TEST(Telemetry, DoesNotPerturbAgentArray) {
                                         *protocol, initial, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
-    if (!telemetry::kCompiledIn) return;
     ASSERT_NE(result.telemetry, nullptr);
-    EXPECT_TRUE(result.telemetry->enabled);
     EXPECT_EQ(result.telemetry->engine, "agent_array");
     EXPECT_EQ(result.telemetry->population, 64u);
     EXPECT_EQ(result.telemetry->interactions, result.interactions);
@@ -167,7 +165,6 @@ TEST(Telemetry, DoesNotPerturbBatchEngine) {
                                         *protocol, initial, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
-    if (!telemetry::kCompiledIn) return;
     ASSERT_NE(result.telemetry, nullptr);
     // Geometric-skip accounting reconciles exactly with the run totals —
     // and with what an observer would have been told (the counting
@@ -197,7 +194,6 @@ TEST(Telemetry, SkipAccountingMatchesObserverWithoutAnObserver) {
     instrumented.telemetry = &collector;
     const RunResult result = run_engine(SimulationEngine::kCountBatch,
                                         *protocol, initial, instrumented);
-    if (!telemetry::kCompiledIn) return;
     EXPECT_EQ(result.telemetry->null_interactions_skipped, recorder.total_null_skips());
 }
 
@@ -218,7 +214,6 @@ TEST(Telemetry, DoesNotPerturbWeightedEngine) {
     const RunResult result = simulate_weighted(*protocol, initial, weights, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
-    if (!telemetry::kCompiledIn) return;
     ASSERT_NE(result.telemetry, nullptr);
     EXPECT_EQ(result.telemetry->engine, "weighted");
 }
@@ -243,7 +238,6 @@ TEST(Telemetry, DoesNotPerturbGraphEngine) {
     EXPECT_EQ(result.last_output_change, unobserved.last_output_change);
     EXPECT_EQ(result.consensus, unobserved.consensus);
     EXPECT_EQ(result.final_configuration.states(), unobserved.final_configuration.states());
-    if (!telemetry::kCompiledIn) return;
     EXPECT_EQ(collector.telemetry().engine, "graph");
 }
 
@@ -261,7 +255,6 @@ TEST(Telemetry, DoesNotPerturbCollapsedEngine) {
                                         *protocol, initial, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
-    if (!telemetry::kCompiledIn) return;
     const RunTelemetry& data = *result.telemetry;
     EXPECT_EQ(data.engine, "collapsed");
     EXPECT_GT(data.super_steps, 0u);
@@ -284,7 +277,6 @@ TEST(Telemetry, CollectorIsReusableAcrossRuns) {
     options.telemetry = &collector;
 
     const RunResult first = run_engine(SimulationEngine::kCountBatch, *protocol, initial, options);
-    if (!telemetry::kCompiledIn) return;
     const std::shared_ptr<const RunTelemetry> first_data = first.telemetry;
     EXPECT_EQ(first_data->interactions, first.interactions);
 
@@ -325,7 +317,6 @@ std::shared_ptr<const RunTelemetry> instrumented_collapsed_run() {
 }
 
 TEST(ChromeTrace, EmitsValidJsonWithNestedSpans) {
-    if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
     const std::shared_ptr<const RunTelemetry> data = instrumented_collapsed_run();
     ASSERT_NE(data, nullptr);
     ASSERT_FALSE(data->spans.empty());
@@ -379,7 +370,6 @@ TEST(ChromeTrace, FileWriterNamesThePathOnFailure) {
 // --- Prometheus exporter -------------------------------------------------
 
 TEST(Prometheus, EmitsDocumentedMetricFamilies) {
-    if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
     const std::shared_ptr<const RunTelemetry> data = instrumented_collapsed_run();
     ASSERT_NE(data, nullptr);
 
@@ -431,7 +421,6 @@ TEST(Prometheus, FileWriterNamesThePathOnFailure) {
 // --- JsonlTraceWriter integration + error-path regressions ---------------
 
 TEST(Telemetry, JsonlWriterEmitsOneTelemetryEventBeforeStop) {
-    if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
     const auto protocol = make_epidemic_protocol();
     const auto initial = CountConfiguration::from_input_counts(*protocol, {63, 1});
 
